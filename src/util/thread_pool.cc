@@ -1,17 +1,34 @@
 #include "util/thread_pool.h"
 
+#include <chrono>
+
 #include "util/fault.h"
 #include "util/logging.h"
 
 namespace aplus {
 
 namespace {
-// True while this thread is running inside a ThreadPool job (as the
-// coordinator or as a pool worker). A nested Run from such a thread
+// True while this thread is running inside a published ThreadPool job
+// (as its caller or as a pool worker). A nested Run from such a thread
 // would deadlock on job_mu_ (the outer job holds it until completion,
-// which requires the nested caller to finish), so nested parallel
-// regions degrade to inline sequential execution instead.
+// which requires the nested caller to finish), so a nested job is not
+// published and its caller claims every id itself.
 thread_local bool tls_in_parallel_job = false;
+
+// How long a caller spins on the join before it blocks: a worker that
+// claimed an id of a microsecond-scale job usually reports back within
+// this window, and a futex sleep/wake round trip costs more than it.
+constexpr std::chrono::microseconds kJoinSpin{10};
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#else
+  std::this_thread::yield();
+#endif
+}
 }  // namespace
 
 ThreadPool::~ThreadPool() {
@@ -34,60 +51,84 @@ void ThreadPool::EnsureThreadsLocked(int needed) {
   }
 }
 
+int ThreadPool::Claim(uint64_t generation, int width) {
+  const uint64_t tag = generation & 0xffffffffu;
+  uint64_t cur = claim_.load(std::memory_order_relaxed);
+  while ((cur >> 32) == tag && static_cast<int>(cur & 0xffffffffu) < width) {
+    if (claim_.compare_exchange_weak(cur, cur + 1, std::memory_order_relaxed)) {
+      return static_cast<int>(cur & 0xffffffffu);
+    }
+  }
+  return width;
+}
+
 void ThreadPool::Run(int num_workers, JobFn fn, void* ctx) {
-  if (num_workers <= 1) {
-    fn(ctx, 0);
-    return;
+  // A nested job is never published (see tls_in_parallel_job). The fault
+  // point exercises the same unpublished path from the top level: results
+  // must match the truly parallel run.
+  const bool publish =
+      num_workers > 1 && !tls_in_parallel_job && !fault::ShouldFail(fault::kPoolDispatch);
+  std::unique_lock<std::mutex> job_lock(job_mu_, std::defer_lock);
+  uint64_t generation = 0;
+  if (publish) {
+    job_lock.lock();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      EnsureThreadsLocked(num_workers - 1);
+      job_fn_ = fn;
+      job_ctx_ = ctx;
+      job_workers_ = num_workers;
+      generation = ++generation_;
+      claim_.store((generation << 32) | 1, std::memory_order_relaxed);
+      unfinished_.store(num_workers, std::memory_order_relaxed);
+    }
+    for (int i = 1; i < num_workers; ++i) work_cv_.notify_one();
+    tls_in_parallel_job = true;
   }
-  if (tls_in_parallel_job || fault::ShouldFail(fault::kPoolDispatch)) {
-    // Nested parallel region (e.g. a SinkOp callback executing a
-    // sub-plan): run every worker id inline on this thread. The fault
-    // point exercises the same degraded path from the top level —
-    // results must match the truly parallel run.
-    for (int id = 0; id < num_workers; ++id) fn(ctx, id);
-    return;
+  // Caller-runs: id 0, then every id no worker has claimed yet.
+  int ran = 0;
+  for (int id = 0; id < num_workers; id = publish ? Claim(generation, num_workers) : id + 1) {
+    fn(ctx, id);
+    ++ran;
   }
-  std::lock_guard<std::mutex> job_lock(job_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    EnsureThreadsLocked(num_workers - 1);
-    job_fn_ = fn;
-    job_ctx_ = ctx;
-    job_workers_ = num_workers;
-    job_next_id_.store(1, std::memory_order_relaxed);
-    job_pending_ = num_workers - 1;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  tls_in_parallel_job = true;
-  fn(ctx, 0);
+  if (!publish) return;
   tls_in_parallel_job = false;
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return job_pending_ == 0; });
-  job_fn_ = nullptr;
-  job_ctx_ = nullptr;
+  // Join: wait only for ids a worker claimed, spinning briefly first.
+  if (unfinished_.fetch_sub(ran, std::memory_order_acq_rel) == ran) return;
+  const auto deadline = std::chrono::steady_clock::now() + kJoinSpin;
+  while (unfinished_.load(std::memory_order_acquire) != 0) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      // The worker that finishes the last id takes mu_ before notifying,
+      // so its decrement cannot slip between this predicate check and
+      // the wait.
+      std::unique_lock<std::mutex> lock(mu_);
+      done_cv_.wait(lock, [this] { return unfinished_.load(std::memory_order_acquire) == 0; });
+      return;
+    }
+    CpuRelax();
+  }
 }
 
 void ThreadPool::WorkerLoop() {
   uint64_t seen_generation = 0;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    work_cv_.wait(lock,
-                  [&] { return stop_ || (generation_ != seen_generation && job_pending_ > 0); });
+    work_cv_.wait(lock, [&] { return stop_ || generation_ != seen_generation; });
     if (stop_) return;
     seen_generation = generation_;
-    // Unique worker id per (thread, job); threads beyond the job's width
-    // (the pool outgrew this job) go straight back to sleep.
-    int id = job_next_id_.fetch_add(1, std::memory_order_relaxed);
-    if (id >= job_workers_) continue;
     JobFn fn = job_fn_;
     void* ctx = job_ctx_;
+    int width = job_workers_;
     lock.unlock();
+    // A worker that woke late (the caller already claimed every id, or a
+    // later job replaced this one) claims nothing and never calls fn.
+    int ran = 0;
     tls_in_parallel_job = true;
-    fn(ctx, id);
+    for (int id; (id = Claim(seen_generation, width)) < width; ++ran) fn(ctx, id);
     tls_in_parallel_job = false;
+    bool last = ran > 0 && unfinished_.fetch_sub(ran, std::memory_order_acq_rel) == ran;
     lock.lock();
-    if (--job_pending_ == 0) done_cv_.notify_all();
+    if (last) done_cv_.notify_one();
   }
 }
 
