@@ -9,7 +9,9 @@
 //     workers. Target: >= 5x queries/s (cross-connection concurrency,
 //     not per-query parallelism).
 //   * "mix_c8_w<k>": the 80/20 point-lookup / grouped-aggregate mix on
-//     8 connections at 1..8 workers (the worker-pool scaling sweep).
+//     8 connections at 1..8 workers. Each worker reads, runs and answers
+//     its own requests, so k is the server's whole request-path
+//     capacity: at k = 1 one thread does all of it.
 //   * "overload": admission capped at 1 running / 0 queued while 8
 //     connections fire; every request must complete with either OK or
 //     a typed OVERLOADED frame — no hangs, no connection drops.
@@ -342,7 +344,7 @@ int main(int argc, char** argv) {
       add_row(r);
     }
 
-    // --- Worker-pool scaling sweep: 8 connections, 80/20 mix. ---
+    // --- Worker-count sweep: 8 connections, 80/20 mix. ---
     for (int workers : {1, 2, 4, 8}) {
       add_row(
           run_server_arm("mix_c8_w" + std::to_string(workers), kPointLookup, 8, workers, true));

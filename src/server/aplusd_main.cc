@@ -3,6 +3,8 @@
 //   aplusd [--port=N] [--workers=N] [--scale=F] [--deadline-ms=N]
 //          [--graph=SEGMENT] [--seal=PATH]
 //
+// --workers sets the request threads: each reads a request, runs it and
+// writes its response, so it also caps how many queries run at once.
 // Serves the synthetic power-law financial workload of the benches
 // (vertices with sequential IDs, :E edges with an integer `amt`
 // property) so aplus_loadgen and external drivers have a deterministic
@@ -71,7 +73,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: aplusd [--port=N] [--workers=N] [--scale=F] [--deadline-ms=N] "
-                   "[--graph=SEGMENT] [--seal=PATH]\n");
+                   "[--graph=SEGMENT] [--seal=PATH]\n"
+                   "  --workers=N  threads that each read a request, run it and write\n"
+                   "               its response (default 4); at most N queries run at once\n");
       return 2;
     }
   }

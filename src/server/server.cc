@@ -1,10 +1,10 @@
 #include "server/server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,22 +13,20 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
-
-#include "util/logging.h"
+#include <utility>
 
 namespace aplus {
 
 namespace {
 
-bool SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 // Frames a connection may queue while a job is in flight before the
 // server declares it hostile and closes it (bounds deferred memory).
 constexpr size_t kMaxDeferredFrames = 1024;
+
+// Events one epoll_wait returns. A worker parses all of its connections
+// before it runs any job, so identical EXECUTEs that arrived together
+// group.
+constexpr int kMaxEvents = 16;
 
 // Canonical byte encoding of one bound parameter value, for batch-group
 // keys: identical key bytes == identical binds.
@@ -69,7 +67,7 @@ Server::Server(Database* db, const ServerOptions& options)
 Server::~Server() { Stop(); }
 
 bool Server::Start(std::string* error) {
-  listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     *error = std::string("socket: ") + std::strerror(errno);
     return false;
@@ -82,209 +80,226 @@ bool Server::Start(std::string* error) {
   addr.sin_port = htons(static_cast<uint16_t>(options_.port));
   if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     *error = "bind port " + std::to_string(options_.port) + ": " + std::strerror(errno);
-    close(listen_fd_);
-    listen_fd_ = -1;
+    CloseFds();
     return false;
   }
   if (listen(listen_fd_, options_.listen_backlog) != 0) {
     *error = std::string("listen: ") + std::strerror(errno);
-    close(listen_fd_);
-    listen_fd_ = -1;
+    CloseFds();
     return false;
   }
   socklen_t len = sizeof(addr);
   getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-  if (pipe(wake_fds_) != 0) {
-    *error = std::string("pipe: ") + std::strerror(errno);
-    close(listen_fd_);
-    listen_fd_ = -1;
+  stop_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  handoff_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  idle_epfd_ = epoll_create1(EPOLL_CLOEXEC);
+  loop_epfd_ = epoll_create1(EPOLL_CLOEXEC);
+  // Level-triggered and never read: once Stop() writes it, every
+  // epoll_wait on either set returns it.
+  epoll_event stop{};
+  stop.events = EPOLLIN;
+  stop.data.ptr = nullptr;
+  epoll_event handoff{};
+  handoff.events = EPOLLIN;
+  handoff.data.ptr = &handoffs_;
+  epoll_event listener{};
+  listener.events = EPOLLIN;
+  listener.data.ptr = &listen_fd_;
+  if (stop_fd_ < 0 || handoff_fd_ < 0 || idle_epfd_ < 0 || loop_epfd_ < 0 ||
+      epoll_ctl(idle_epfd_, EPOLL_CTL_ADD, stop_fd_, &stop) != 0 ||
+      epoll_ctl(idle_epfd_, EPOLL_CTL_ADD, handoff_fd_, &handoff) != 0 ||
+      epoll_ctl(loop_epfd_, EPOLL_CTL_ADD, stop_fd_, &stop) != 0 ||
+      epoll_ctl(loop_epfd_, EPOLL_CTL_ADD, listen_fd_, &listener) != 0) {
+    *error = std::string("epoll: ") + std::strerror(errno);
+    CloseFds();
     return false;
   }
-  SetNonBlocking(listen_fd_);
-  SetNonBlocking(wake_fds_[0]);
-  SetNonBlocking(wake_fds_[1]);
-  workers_.Start(options_.num_workers);
   running_.store(true, std::memory_order_release);
   stopping_.store(false, std::memory_order_release);
   loop_ = std::thread([this] { LoopThread(); });
+  for (int i = 0; i < std::max(1, options_.num_workers); ++i) {
+    workers_.emplace_back([this] { WorkerThread(); });
+  }
   return true;
 }
 
 void Server::Stop() {
   if (!running_.exchange(false)) return;
-  stopping_.store(true, std::memory_order_release);
-  WakeLoop();
+  stopping_.store(true);
+  uint64_t one = 1;
+  ssize_t rc = write(stop_fd_, &one, sizeof(one));
+  (void)rc;
   if (loop_.joinable()) loop_.join();
-  workers_.Stop();
-  // The loop reaped every connection before exiting; only the pipes and
-  // (possibly) the listener remain.
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
+  // Every thread is gone: close and free what is left.
+  ReapRetired();
+  for (Connection* conn : conns_) {
+    if (conn->fd >= 0) Retire(conn);
+    delete conn;
   }
-  for (int& fd : wake_fds_) {
-    if (fd >= 0) {
-      close(fd);
-      fd = -1;
-    }
-  }
+  conns_.clear();
+  CloseFds();
 }
 
-void Server::WakeLoop() {
-  if (wake_fds_[1] < 0) return;
-  uint8_t byte = 1;
-  ssize_t rc = write(wake_fds_[1], &byte, 1);
-  (void)rc;  // EAGAIN just means a wakeup is already pending
+void Server::CloseFds() {
+  for (int* fd : {&listen_fd_, &stop_fd_, &handoff_fd_, &idle_epfd_, &loop_epfd_}) {
+    if (*fd >= 0) close(*fd);
+    *fd = -1;
+  }
 }
 
 void Server::LoopThread() {
-  std::vector<pollfd> pfds;
-  std::vector<Connection*> pfd_conns;
-  bool listener_open = true;
+  epoll_event events[kMaxEvents];
   while (true) {
-    const bool stopping = stopping_.load(std::memory_order_acquire);
-    if (stopping && listener_open) {
-      close(listen_fd_);
-      listen_fd_ = -1;
-      listener_open = false;
-      // Drain in-flight executes promptly: every busy connection's
-      // query gets a cooperative cancel.
-      for (Connection* conn : conns_) {
-        conn->closing = true;
-        if (conn->busy) {
-          PreparedQuery* q = conn->inflight.load(std::memory_order_acquire);
-          if (q != nullptr) q->Cancel();
-        }
+    // Between two waits no event names a retired connection: it left
+    // the loop set before it was retired.
+    ReapRetired();
+    // The timeout only bounds how long retired connections wait to be
+    // freed.
+    int n = epoll_wait(loop_epfd_, events, kMaxEvents, 100);
+    if (n < 0 && errno != EINTR) return;
+    for (int i = 0; i < n; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == nullptr) {
+        // Stop(): drain in-flight executes promptly. A worker that
+        // starts one after this sweep cancels it itself (RunExecuteGroup).
+        for (Connection* conn : conns_) CancelInflight(conn);
+        return;
       }
-    }
-
-    // Reap connections with no job in flight and nothing left to say.
-    // While stopping, pending output is best-effort: one last flush
-    // attempt happened below; a stalled peer does not stall shutdown.
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      Connection* conn = *it;
-      const bool drained = conn->out_start >= conn->out.size();
-      if (!conn->busy && (conn->dead || stopping || (conn->closing && drained))) {
-        it = conns_.erase(it);
-        DestroyConnection(conn);
+      if (tag == &listen_fd_) {
+        AcceptNew();
       } else {
-        ++it;
+        ServiceLoopEvent(static_cast<Connection*>(tag));
       }
-    }
-    if (stopping && conns_.empty()) return;
-
-    pfds.clear();
-    pfd_conns.clear();
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
-    pfd_conns.push_back(nullptr);
-    if (listener_open) {
-      pfds.push_back({listen_fd_, POLLIN, 0});
-      pfd_conns.push_back(nullptr);
-    }
-    for (Connection* conn : conns_) {
-      if (conn->dead) continue;
-      short events = 0;
-      if (!conn->closing) events |= POLLIN;
-      if (conn->out_start < conn->out.size()) events |= POLLOUT;
-      if (events == 0) continue;
-      pfds.push_back({conn->fd, events, 0});
-      pfd_conns.push_back(conn);
-    }
-
-    int rc = poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
-    if (rc < 0 && errno != EINTR) return;
-
-    // Self-pipe: drain it, then the completion queue.
-    if (pfds[0].revents & POLLIN) {
-      uint8_t buf[64];
-      while (read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
-    DrainCompletions();
-
-    size_t base = 1;
-    if (listener_open) {
-      if (pfds[1].revents & POLLIN) AcceptNew();
-      base = 2;
-    }
-    for (size_t i = base; i < pfds.size(); ++i) {
-      Connection* conn = pfd_conns[i];
-      if (conn->dead) continue;
-      if (pfds[i].revents & (POLLERR | POLLHUP)) {
-        // POLLHUP with readable bytes still delivers them below; a
-        // half-closed peer that sent a full request gets its response
-        // attempt before the reap notices the write side failed.
-        if (!(pfds[i].revents & POLLIN)) conn->dead = true;
-      }
-      if (pfds[i].revents & POLLIN) ReadFrom(conn);
-      if (pfds[i].revents & POLLOUT) FlushOut(conn);
     }
   }
 }
 
 void Server::AcceptNew() {
   while (true) {
-    int fd = accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: back to poll
-    SetNonBlocking(fd);
+    int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) return;  // EAGAIN or transient error: back to epoll
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     Connection* conn = new Connection();
     conn->fd = fd;
     conns_.insert(conn);
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.ptr = conn;
+    epoll_ctl(idle_epfd_, EPOLL_CTL_ADD, fd, &ev);
   }
 }
 
-void Server::ReadFrom(Connection* conn) {
+void Server::ServiceLoopEvent(Connection* conn) {
+  bool retired = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    // The event may predate a move by the connection's owner.
+    if (conn->fd < 0 || conn->loop_events == 0) return;
+    if (conn->busy) {
+      if (!ReadInput(conn)) conn->dead = true;
+      ParseFrames(conn);  // busy: acts on CANCEL, defers the rest
+      // Nothing more to read: the job's worker settles the rest.
+      if (conn->dead || conn->closing) Watch(conn, 0);
+    } else {
+      retired = Settle(conn, nullptr);  // draining a slow reader
+    }
+  }
+  if (retired) PushRetired(conn);
+}
+
+void Server::CancelInflight(Connection* conn) {
+  // Under mu: the statement holding the query cannot be closed meanwhile.
+  std::lock_guard<std::mutex> lock(conn->mu);
+  if (!conn->busy) return;  // nothing in flight
+  PreparedQuery* q = conn->inflight.load();
+  if (q != nullptr) q->Cancel();
+}
+
+void Server::WorkerThread() {
+  epoll_event events[kMaxEvents];
+  std::vector<Connection*> todo;
+  while (true) {
+    int n = epoll_wait(idle_epfd_, events, kMaxEvents, -1);
+    if (n < 0 && errno != EINTR) return;
+    bool stop = false;
+    bool handoff = false;
+    // Parse every connection this wait returned before running any job,
+    // so identical EXECUTEs that arrived together group.
+    for (int i = 0; i < n; ++i) {
+      void* tag = events[i].data.ptr;
+      if (tag == nullptr) {
+        stop = true;
+      } else if (tag == &handoffs_) {
+        handoff = true;  // taken below
+      } else {
+        Connection* conn = static_cast<Connection*>(tag);
+        bool retired = false;
+        {
+          std::lock_guard<std::mutex> lock(conn->mu);
+          if (!ReadInput(conn)) {
+            conn->dead = true;
+          } else if (!stopping_.load(std::memory_order_acquire)) {
+            ParseFrames(conn);
+          }
+          retired = Settle(conn, &todo);
+        }
+        if (retired) PushRetired(conn);
+      }
+    }
+    // Then every handed-off job still waiting, before sleeping again (or
+    // exiting: each parsed job gets its answer, cancelled once stopping).
+    do {
+      RunJobs(&todo);
+    } while (PopHandoff(&todo, std::exchange(handoff, false)));
+    if (stop) return;
+  }
+}
+
+bool Server::ReadInput(Connection* conn) {
   while (true) {
     uint8_t buf[64 * 1024];
     ssize_t n = read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
       conn->in.insert(conn->in.end(), buf, buf + n);
-      if (static_cast<size_t>(n) < sizeof(buf)) break;
+      if (static_cast<size_t>(n) < sizeof(buf)) return true;
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    conn->dead = true;  // EOF or hard error
-    break;
-  }
-  if (!conn->dead) {
-    ParseFrames(conn);
-    FlushOut(conn);
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);  // else EOF or hard error
   }
 }
 
 void Server::ParseFrames(Connection* conn) {
-  while (!conn->closing && !conn->dead) {
+  while (!conn->closing) {
     wire::FrameView view;
     size_t consumed = 0;
     std::string error;
-    if (!wire::ExtractFrame(conn->in.data() + conn->in_start, conn->in.size() - conn->in_start,
-                            &consumed, &view, &error)) {
+    const uint8_t* start = conn->in.data() + conn->in_start;
+    if (!wire::ExtractFrame(start, conn->in.size() - conn->in_start, &consumed, &view, &error)) {
       if (!error.empty()) {
         SendError(conn, wire::WireStatus::kProtocolError, error);
         conn->closing = true;
       }
       break;  // incomplete: wait for more bytes
     }
-    if (conn->busy) {
-      // One job in flight per connection: CANCEL goes out-of-band,
-      // everything else replays in order once the job completes.
-      if (view.type == wire::FrameType::kCancel) {
-        HandleCancel(conn);
-      } else if (conn->deferred.size() >= kMaxDeferredFrames) {
-        SendError(conn, wire::WireStatus::kProtocolError, "too many frames queued mid-request");
-        conn->closing = true;
-      } else {
-        const uint8_t* start = conn->in.data() + conn->in_start;
-        conn->deferred.emplace_back(start, start + consumed);
-      }
-      conn->in_start += consumed;
-      continue;
-    }
     conn->in_start += consumed;
-    if (!HandleFrame(conn, view)) conn->closing = true;
+    if (!conn->busy) {
+      if (!HandleFrame(conn, view)) conn->closing = true;
+    } else if (view.type == wire::FrameType::kCancel) {
+      // One job in flight per connection: CANCEL goes out-of-band,
+      // everything else replays in order once the job ends.
+      PreparedQuery* q = conn->inflight.load();
+      if (q != nullptr) q->Cancel();
+    } else if (conn->deferred.size() >= kMaxDeferredFrames) {
+      SendError(conn, wire::WireStatus::kProtocolError, "too many frames queued mid-request");
+      conn->closing = true;
+    } else {
+      conn->deferred.emplace_back(start, start + consumed);
+    }
   }
   if (conn->in_start == conn->in.size()) {
     conn->in.clear();
@@ -314,8 +329,7 @@ bool Server::HandleFrame(Connection* conn, const wire::FrameView& frame) {
       HandleFetch(conn, frame);
       return true;
     case wire::FrameType::kCancel:
-      HandleCancel(conn);
-      return true;
+      return true;  // nothing in flight: a job's CANCEL never gets here
     case wire::FrameType::kClose:
       HandleCloseStmt(conn, frame);
       return true;
@@ -353,34 +367,29 @@ void Server::HandleHello(Connection* conn, const wire::FrameView& frame) {
 
 void Server::DispatchPrepare(Connection* conn, const wire::FrameView& frame) {
   wire::FrameReader r(frame.payload, frame.len);
-  std::string text;
-  if (!r.GetStr32(&text) || r.remaining() != 0) {
+  Job& job = conn->job;
+  if (!r.GetStr32(&job.text) || r.remaining() != 0) {
     SendError(conn, wire::WireStatus::kProtocolError, "malformed PREPARE");
     conn->closing = true;
     return;
   }
-  const uint32_t stmt_id = conn->next_stmt_id++;
-  conn->stmts[stmt_id] = std::make_unique<Statement>();
+  job.type = wire::FrameType::kPrepare;
+  job.stmt_id = conn->next_stmt_id++;
+  job.batch_key.clear();
+  job.follower = false;
+  conn->stmts[job.stmt_id] = std::make_unique<Statement>();
   conn->busy = true;
-  bool submitted = workers_.Submit([this, conn, stmt_id, text = std::move(text)] {
-    RunPrepare(conn, stmt_id, text);
-  });
-  if (!submitted) {
-    conn->busy = false;
-    conn->stmts.erase(stmt_id);
-    SendError(conn, wire::WireStatus::kOverloaded, "server is shutting down");
-  }
 }
 
 void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
   wire::FrameReader r(frame.payload, frame.len);
+  Job& job = conn->job;
   uint32_t stmt_id = 0;
   uint32_t deadline_ms = 0;
-  uint64_t max_rows = 0;
   uint32_t num_params = 0;
-  bool ok = r.GetU32(&stmt_id) && r.GetU32(&deadline_ms) && r.GetU64(&max_rows) &&
+  bool ok = r.GetU32(&stmt_id) && r.GetU32(&deadline_ms) && r.GetU64(&job.max_rows) &&
             r.GetU32(&num_params);
-  auto req = std::make_shared<ExecRequest>();
+  job.params.clear();
   for (uint32_t i = 0; ok && i < num_params; ++i) {
     std::string name;
     uint8_t tag = 0;
@@ -416,7 +425,7 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
         ok = false;
         break;
     }
-    if (ok) req->params.emplace_back(std::move(name), std::move(value));
+    if (ok) job.params.emplace_back(std::move(name), std::move(value));
   }
   if (!ok || r.remaining() != 0) {
     SendError(conn, wire::WireStatus::kProtocolError, "malformed EXECUTE");
@@ -429,98 +438,124 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
               "unknown statement " + std::to_string(stmt_id));
     return;
   }
-  req->conn = conn;
-  req->stmt = it->second.get();
-  req->stmt_id = stmt_id;
-  req->deadline_millis = deadline_ms > 0 ? static_cast<int64_t>(deadline_ms)
-                                         : options_.default_deadline_millis;
-  req->max_rows = max_rows;
+  job.type = wire::FrameType::kExecute;
+  job.stmt_id = stmt_id;
+  job.deadline_millis =
+      deadline_ms > 0 ? static_cast<int64_t>(deadline_ms) : options_.default_deadline_millis;
+  job.batch_key.clear();
+  job.follower = false;
   conn->busy = true;
 
-  if (options_.batching && req->stmt->lease.valid()) {
-    std::string key = req->stmt->lease.query->normalized_text();
-    key.push_back('\x1f');
-    key.append(reinterpret_cast<const char*>(&req->deadline_millis),
-               sizeof(req->deadline_millis));
-    key.append(reinterpret_cast<const char*>(&req->max_rows), sizeof(req->max_rows));
-    for (const auto& param : req->params) {
-      key.push_back('\x1e');
-      key.append(param.first);
-      key.push_back('=');
-      AppendValueKey(param.second, &key);
-    }
-    req->batch_key = std::move(key);
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    auto pending = batch_pending_.find(req->batch_key);
-    if (pending != batch_pending_.end() && !pending->second->sealed) {
-      // An identical request is queued but its leader has not started:
-      // ride along. The leader answers for this connection too.
-      pending->second->members.push_back(std::move(req));
-      return;
-    }
-    batch_pending_[req->batch_key] = std::make_shared<BatchGroup>();
+  const Statement* stmt = it->second.get();
+  if (!options_.batching || !stmt->lease.valid()) return;
+  std::string key = stmt->lease.query->normalized_text();
+  key.push_back('\x1f');
+  key.append(reinterpret_cast<const char*>(&job.deadline_millis), sizeof(job.deadline_millis));
+  key.append(reinterpret_cast<const char*>(&job.max_rows), sizeof(job.max_rows));
+  for (const auto& param : job.params) {
+    key.push_back('\x1e');
+    key.append(param.first);
+    key.push_back('=');
+    AppendValueKey(param.second, &key);
   }
-
-  const std::string key = req->batch_key;
-  bool submitted =
-      workers_.Submit([this, key, req]() mutable { RunExecuteGroup(key, std::move(req)); });
-  if (!submitted) {
-    if (!key.empty()) {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batch_pending_.erase(key);
-    }
-    conn->busy = false;
-    SendError(conn, wire::WireStatus::kOverloaded, "server is shutting down");
-  }
-}
-
-void Server::RunPrepare(Connection* conn, uint32_t stmt_id, std::string text) {
-  SharedPlanCache::Lease lease = cache_.Acquire(text);
-  Completion completion;
-  completion.conn = conn;
-  if (!lease.query->ok()) {
-    wire::AppendErrorFrame(wire::ToWire(lease.query->status()), lease.query->error(),
-                           &completion.response);
-    completion.drop_stmt_id = stmt_id;
-    cache_.Release(&lease);
-    PostCompletion(std::move(completion));
+  std::lock_guard<std::mutex> lock(batch_mu_);
+  auto pending = batch_pending_.find(key);
+  if (pending != batch_pending_.end()) {
+    // An identical request is parsed but its leader has not started:
+    // ride along. The leader answers for this connection too.
+    pending->second.push_back(conn);
+    job.follower = true;
     return;
   }
-  PreparedQuery* q = lease.query;
-  wire::FrameWriter w(&completion.response);
-  w.BeginFrame(wire::FrameType::kPrepared);
-  w.PutU32(stmt_id);
-  w.PutU32(static_cast<uint32_t>(q->num_params()));
-  for (size_t i = 0; i < q->num_params(); ++i) w.PutStr16(q->param_name(i));
-  w.PutU32(static_cast<uint32_t>(q->columns().size()));
-  for (const ProjectColumn& col : q->columns()) {
-    w.PutU8(static_cast<uint8_t>(col.type));
-    w.PutStr16(col.name);
-  }
-  w.EndFrame();
-  // The worker may touch the statement freely: its connection stays
-  // busy (and thus alive, untouched by the loop) until this completion.
-  conn->stmts.at(stmt_id)->lease = std::move(lease);
-  PostCompletion(std::move(completion));
+  batch_pending_.emplace(key, std::vector<Connection*>());
+  job.batch_key = std::move(key);
 }
 
-void Server::RunExecuteGroup(const std::string& group_key, std::shared_ptr<ExecRequest> leader) {
-  std::vector<std::shared_ptr<ExecRequest>> followers;
-  if (!group_key.empty()) {
+void Server::RunJobs(std::vector<Connection*>* todo) {
+  // One job at a time: the rest are handed off, to an idle worker or to
+  // this one's next wait, so no job waits behind an unrelated slow one
+  // while another worker sleeps.
+  while (!todo->empty()) {
+    Connection* conn = todo->front();
+    if (todo->size() > 1) {
+      {
+        std::lock_guard<std::mutex> lock(handoff_mu_);
+        handoffs_.insert(handoffs_.end(), todo->begin() + 1, todo->end());
+      }
+      uint64_t one = 1;
+      ssize_t rc = write(handoff_fd_, &one, sizeof(one));
+      (void)rc;
+    }
+    todo->clear();
+    if (conn->job.type == wire::FrameType::kPrepare) {
+      RunPrepare(conn, todo);
+    } else {
+      RunExecuteGroup(conn, todo);
+    }
+  }
+}
+
+bool Server::PopHandoff(std::vector<Connection*>* todo, bool woken) {
+  std::lock_guard<std::mutex> lock(handoff_mu_);
+  if (handoffs_.empty() && !woken) return false;
+  if (!handoffs_.empty()) {
+    todo->push_back(handoffs_.front());
+    handoffs_.pop_front();
+  }
+  // handoff_fd_ stays readable (level-triggered: it wakes one worker
+  // after another) exactly while jobs wait.
+  if (handoffs_.empty()) {
+    uint64_t count = 0;
+    ssize_t rc = read(handoff_fd_, &count, sizeof(count));
+    (void)rc;
+  }
+  return !todo->empty();
+}
+
+void Server::RunPrepare(Connection* conn, std::vector<Connection*>* todo) {
+  SharedPlanCache::Lease lease = cache_.Acquire(conn->job.text);
+  std::unique_lock<std::mutex> lock(conn->mu);
+  const uint32_t stmt_id = conn->job.stmt_id;
+  if (!lease.query->ok()) {
+    wire::AppendErrorFrame(wire::ToWire(lease.query->status()), lease.query->error(),
+                           &conn->out);
+    cache_.Release(&lease);
+    conn->stmts.erase(stmt_id);
+  } else {
+    PreparedQuery* q = lease.query;
+    wire::FrameWriter w(&conn->out);
+    w.BeginFrame(wire::FrameType::kPrepared);
+    w.PutU32(stmt_id);
+    w.PutU32(static_cast<uint32_t>(q->num_params()));
+    for (size_t i = 0; i < q->num_params(); ++i) w.PutStr16(q->param_name(i));
+    w.PutU32(static_cast<uint32_t>(q->columns().size()));
+    for (const ProjectColumn& col : q->columns()) {
+      w.PutU8(static_cast<uint8_t>(col.type));
+      w.PutStr16(col.name);
+    }
+    w.EndFrame();
+    conn->stmts.at(stmt_id)->lease = std::move(lease);
+  }
+  EndJob(conn, &lock, todo);
+}
+
+void Server::RunExecuteGroup(Connection* leader, std::vector<Connection*>* todo) {
+  const Job& job = leader->job;
+  std::vector<Connection*> followers;
+  if (!job.batch_key.empty()) {
     std::lock_guard<std::mutex> lock(batch_mu_);
-    auto it = batch_pending_.find(group_key);
+    auto it = batch_pending_.find(job.batch_key);
     if (it != batch_pending_.end()) {
-      it->second->sealed = true;
-      followers = std::move(it->second->members);
+      followers = std::move(it->second);
       batch_pending_.erase(it);
     }
   }
 
-  Statement* stmt = leader->stmt;
-  PreparedQuery* q = stmt->lease.query;
+  // The owner reads its own statements without mu: only it changes them.
+  PreparedQuery* q = leader->stmts.at(job.stmt_id)->lease.query;
   QueryOutcome outcome;
   bool bound = true;
-  for (const auto& param : leader->params) {
+  for (const auto& param : job.params) {
     if (!q->Bind(param.first, param.second)) {
       outcome.status = QueryOutcome::Status::kBindError;
       outcome.error = q->bind_error();
@@ -528,27 +563,28 @@ void Server::RunExecuteGroup(const std::string& group_key, std::shared_ptr<ExecR
       break;
     }
   }
+  auto spool = std::make_shared<Spool>();
   if (bound) {
-    stmt->spool.clear();
-    stmt->chunks.clear();
-    stmt->next_chunk = 0;
-    q->set_deadline_millis(leader->deadline_millis);
-    leader->conn->inflight.store(q, std::memory_order_release);
+    q->set_deadline_millis(job.deadline_millis);
+    leader->inflight.store(q);
+    // Pairs with Stop(): either its sweep sees this query or this sees
+    // stopping_.
+    if (stopping_.load()) q->Cancel();
 
     struct Sink : RowConsumer {
-      Statement* stmt;
+      Spool* spool = nullptr;
       std::mutex mu;
       void OnBatch(const RowBatch& batch) override {
         std::lock_guard<std::mutex> lock(mu);
         SpoolChunk chunk;
-        chunk.offset = stmt->spool.size();
+        chunk.offset = spool->bytes.size();
         chunk.rows = batch.num_rows();
-        wire::AppendRowsFrame(batch, &stmt->spool);
-        chunk.len = stmt->spool.size() - chunk.offset;
-        stmt->chunks.push_back(chunk);
+        wire::AppendRowsFrame(batch, &spool->bytes);
+        chunk.len = spool->bytes.size() - chunk.offset;
+        spool->chunks.push_back(chunk);
       }
     } sink;
-    sink.stmt = stmt;
+    sink.spool = spool.get();
 
     // A lone request runs serial (cross-connection concurrency is the
     // throughput lever); a sealed batch group amortizes one
@@ -556,59 +592,71 @@ void Server::RunExecuteGroup(const std::string& group_key, std::shared_ptr<ExecR
     const int num_threads =
         followers.empty() ? 1 : static_cast<int>(std::min<size_t>(followers.size() + 1, 4));
     outcome = q->Execute(&sink, num_threads);
-    leader->conn->inflight.store(nullptr, std::memory_order_release);
-    stmt->count = outcome.count;
-    stmt->seconds = outcome.seconds;
+    leader->inflight.store(nullptr);
+    spool->count = outcome.count;
+    spool->seconds = outcome.seconds;
   }
 
   queries_.fetch_add(1 + followers.size(), std::memory_order_relaxed);
   if (!followers.empty()) {
     batch_saved_.fetch_add(followers.size(), std::memory_order_relaxed);
   }
-
-  // Build EVERY response before posting ANY completion: the moment the
-  // leader's completion lands, its connection stops being busy and the
-  // loop thread may free the leader's Statement (a pipelined CLOSE) —
-  // the follower spool copies below must already be done by then.
-  std::vector<Completion> completions;
-  completions.emplace_back();
-  completions.back().conn = leader->conn;
-  BuildExecuteResponse(outcome, leader.get(), &completions.back().response);
-  for (const std::shared_ptr<ExecRequest>& follower : followers) {
-    // Batched answer: the follower's statement adopts a copy of the
-    // leader's spool so its FETCH cursor pages independently.
-    if (outcome.ok()) {
-      follower->stmt->spool = stmt->spool;
-      follower->stmt->chunks = stmt->chunks;
-      follower->stmt->next_chunk = 0;
-      follower->stmt->count = stmt->count;
-      follower->stmt->seconds = stmt->seconds;
-    }
-    completions.emplace_back();
-    completions.back().conn = follower->conn;
-    BuildExecuteResponse(outcome, follower.get(), &completions.back().response);
-  }
-  for (Completion& completion : completions) PostCompletion(std::move(completion));
+  std::shared_ptr<const Spool> result;
+  if (outcome.ok()) result = std::move(spool);
+  Answer(leader, outcome, result, todo);
+  for (Connection* follower : followers) Answer(follower, outcome, result, todo);
 }
 
-void Server::BuildExecuteResponse(const QueryOutcome& outcome, ExecRequest* req,
-                                  std::vector<uint8_t>* out) {
-  if (!outcome.ok()) {
-    wire::AppendErrorFrame(wire::ToWire(outcome.status), outcome.error, out);
-    return;
+void Server::Answer(Connection* conn, const QueryOutcome& outcome,
+                    const std::shared_ptr<const Spool>& result, std::vector<Connection*>* todo) {
+  std::unique_lock<std::mutex> lock(conn->mu);
+  // A busy connection's statements stay put: a CLOSE waits its turn.
+  Statement* stmt = conn->stmts.at(conn->job.stmt_id).get();
+  stmt->result = result;
+  stmt->next_chunk = 0;
+  if (outcome.ok()) {
+    AppendResult(stmt, conn->job.max_rows, &conn->out);
+  } else {
+    wire::AppendErrorFrame(wire::ToWire(outcome.status), outcome.error, &conn->out);
   }
-  Statement* stmt = req->stmt;
+  EndJob(conn, &lock, todo);
+}
+
+void Server::AppendResult(Statement* stmt, uint64_t max_rows, std::vector<uint8_t>* out) {
+  const Spool* spool = stmt->result.get();
+  const size_t num_chunks = spool != nullptr ? spool->chunks.size() : 0;
   uint64_t delivered = 0;
-  while (stmt->next_chunk < stmt->chunks.size() &&
-         (req->max_rows == 0 || delivered < req->max_rows)) {
-    const SpoolChunk& chunk = stmt->chunks[stmt->next_chunk];
-    out->insert(out->end(), stmt->spool.begin() + static_cast<ptrdiff_t>(chunk.offset),
-                stmt->spool.begin() + static_cast<ptrdiff_t>(chunk.offset + chunk.len));
+  while (stmt->next_chunk < num_chunks && (max_rows == 0 || delivered < max_rows)) {
+    const SpoolChunk& chunk = spool->chunks[stmt->next_chunk];
+    out->insert(out->end(), spool->bytes.begin() + static_cast<ptrdiff_t>(chunk.offset),
+                spool->bytes.begin() + static_cast<ptrdiff_t>(chunk.offset + chunk.len));
     delivered += chunk.rows;
     ++stmt->next_chunk;
   }
-  const bool more = stmt->next_chunk < stmt->chunks.size();
-  wire::AppendDoneFrame(more, outcome.count, delivered, outcome.seconds, out);
+  const bool more = stmt->next_chunk < num_chunks;
+  wire::AppendDoneFrame(more, spool != nullptr ? spool->count : 0, delivered,
+                        spool != nullptr ? spool->seconds : 0.0, out);
+}
+
+void Server::EndJob(Connection* conn, std::unique_lock<std::mutex>* lock,
+                    std::vector<Connection*>* todo) {
+  conn->busy = false;
+  FlushOut(conn);  // the answer goes out before any bookkeeping
+  // Replay frames that arrived mid-job, in order, until another job
+  // starts (busy again) or the connection is closing.
+  while (!conn->busy && !conn->closing && !conn->dead && !conn->deferred.empty() &&
+         !stopping_.load(std::memory_order_acquire)) {
+    std::vector<uint8_t> bytes = std::move(conn->deferred.front());
+    conn->deferred.pop_front();
+    wire::FrameView view;
+    view.type = static_cast<wire::FrameType>(bytes[4]);
+    view.payload = bytes.data() + wire::kFrameHeaderBytes;
+    view.len = bytes.size() - wire::kFrameHeaderBytes;
+    if (!HandleFrame(conn, view)) conn->closing = true;
+  }
+  const bool retired = Settle(conn, todo);
+  lock->unlock();
+  if (retired) PushRetired(conn);
 }
 
 void Server::HandleFetch(Connection* conn, const wire::FrameView& frame) {
@@ -626,26 +674,8 @@ void Server::HandleFetch(Connection* conn, const wire::FrameView& frame) {
               "unknown statement " + std::to_string(stmt_id));
     return;
   }
-  // Pure spool slicing: no execution, so it runs right here on the
-  // loop thread.
-  Statement* stmt = it->second.get();
-  uint64_t delivered = 0;
-  while (stmt->next_chunk < stmt->chunks.size() && (max_rows == 0 || delivered < max_rows)) {
-    const SpoolChunk& chunk = stmt->chunks[stmt->next_chunk];
-    conn->out.insert(conn->out.end(),
-                     stmt->spool.begin() + static_cast<ptrdiff_t>(chunk.offset),
-                     stmt->spool.begin() + static_cast<ptrdiff_t>(chunk.offset + chunk.len));
-    delivered += chunk.rows;
-    ++stmt->next_chunk;
-  }
-  const bool more = stmt->next_chunk < stmt->chunks.size();
-  wire::AppendDoneFrame(more, stmt->count, delivered, stmt->seconds, &conn->out);
-}
-
-void Server::HandleCancel(Connection* conn) {
-  if (!conn->busy) return;  // nothing in flight
-  PreparedQuery* q = conn->inflight.load(std::memory_order_acquire);
-  if (q != nullptr) q->Cancel();
+  // Pure spool slicing: no execution, so it runs inline.
+  AppendResult(it->second.get(), max_rows, &conn->out);
 }
 
 void Server::HandleCloseStmt(Connection* conn, const wire::FrameView& frame) {
@@ -658,7 +688,7 @@ void Server::HandleCloseStmt(Connection* conn, const wire::FrameView& frame) {
   }
   auto it = conn->stmts.find(stmt_id);
   if (it != conn->stmts.end()) {
-    CloseStatement(conn, it->second.get());
+    if (it->second->lease.query != nullptr) cache_.Release(&it->second->lease);
     conn->stmts.erase(it);
   }
   wire::FrameWriter w(&conn->out);
@@ -678,43 +708,72 @@ void Server::HandleStats(Connection* conn) {
   w.EndFrame();
 }
 
-void Server::PostCompletion(Completion completion) {
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    completions_.push_back(std::move(completion));
+bool Server::Settle(Connection* conn, std::vector<Connection*>* todo) {
+  FlushOut(conn);
+  if (conn->busy) {
+    // A job started: watch for CANCEL and pipelined frames while it runs.
+    if (!conn->dead && !conn->closing) Watch(conn, EPOLLIN);
+    if (!conn->job.follower) todo->push_back(conn);
+    return false;
   }
-  WakeLoop();
+  Watch(conn, 0);
+  const bool drained = conn->out_start >= conn->out.size();
+  if (conn->dead || stopping_.load(std::memory_order_acquire) || (conn->closing && drained)) {
+    // While stopping, pending output is best-effort: a stalled peer does
+    // not stall shutdown.
+    Retire(conn);
+    return true;
+  }
+  if (!drained) {
+    Watch(conn, EPOLLOUT);  // slow reader: the loop thread drains it
+    return false;
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.ptr = conn;
+  epoll_ctl(idle_epfd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  return false;
 }
 
-void Server::DrainCompletions() {
-  std::deque<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(completions_mu_);
-    batch.swap(completions_);
-  }
-  for (Completion& completion : batch) {
-    Connection* conn = completion.conn;
-    conn->out.insert(conn->out.end(), completion.response.begin(), completion.response.end());
-    if (completion.drop_stmt_id != 0) conn->stmts.erase(completion.drop_stmt_id);
-    FinishJob(conn);
-    FlushOut(conn);
-  }
+void Server::Watch(Connection* conn, uint32_t events) {
+  if (conn->loop_events == events) return;
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.ptr = conn;
+  const int op = events == 0              ? EPOLL_CTL_DEL
+                 : conn->loop_events == 0 ? EPOLL_CTL_ADD
+                                          : EPOLL_CTL_MOD;
+  epoll_ctl(loop_epfd_, op, conn->fd, &ev);
+  conn->loop_events = events;
 }
 
-void Server::FinishJob(Connection* conn) {
-  conn->busy = false;
-  // Replay frames that arrived mid-job, in order, until another job
-  // starts (busy again) or the connection is closing.
-  while (!conn->busy && !conn->closing && !conn->deferred.empty()) {
-    std::vector<uint8_t> bytes = std::move(conn->deferred.front());
-    conn->deferred.pop_front();
-    wire::FrameView view;
-    view.type = static_cast<wire::FrameType>(bytes[4]);
-    view.payload = bytes.data() + wire::kFrameHeaderBytes;
-    view.len = bytes.size() - wire::kFrameHeaderBytes;
-    if (!HandleFrame(conn, view)) conn->closing = true;
+void Server::Retire(Connection* conn) {
+  Watch(conn, 0);
+  for (auto& entry : conn->stmts) {
+    if (entry.second->lease.query != nullptr) cache_.Release(&entry.second->lease);
   }
-  if (!conn->busy && !conn->closing) ParseFrames(conn);
+  conn->stmts.clear();
+  close(conn->fd);
+  conn->fd = -1;
+}
+
+void Server::PushRetired(Connection* conn) {
+  // Only after the retiring thread released conn->mu: the loop thread
+  // may free the connection as soon as it is listed.
+  std::lock_guard<std::mutex> lock(retired_mu_);
+  retired_.push_back(conn);
+}
+
+void Server::ReapRetired() {
+  std::vector<Connection*> retired;
+  {
+    std::lock_guard<std::mutex> lock(retired_mu_);
+    retired.swap(retired_);
+  }
+  for (Connection* conn : retired) {
+    conns_.erase(conn);
+    delete conn;
+  }
 }
 
 void Server::SendError(Connection* conn, wire::WireStatus status, const std::string& message) {
@@ -722,31 +781,22 @@ void Server::SendError(Connection* conn, wire::WireStatus status, const std::str
 }
 
 void Server::FlushOut(Connection* conn) {
-  while (conn->out_start < conn->out.size()) {
+  while (!conn->dead && conn->out_start < conn->out.size()) {
     ssize_t n = send(conn->fd, conn->out.data() + conn->out_start,
                      conn->out.size() - conn->out_start, MSG_NOSIGNAL);
     if (n > 0) {
       conn->out_start += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;  // POLLOUT resumes
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;  // EPOLLOUT resumes
     conn->dead = true;
     return;
   }
-  conn->out.clear();
-  conn->out_start = 0;
-}
-
-void Server::CloseStatement(Connection* conn, Statement* stmt) {
-  (void)conn;
-  if (stmt->lease.query != nullptr) cache_.Release(&stmt->lease);
-}
-
-void Server::DestroyConnection(Connection* conn) {
-  for (auto& entry : conn->stmts) CloseStatement(conn, entry.second.get());
-  conn->stmts.clear();
-  if (conn->fd >= 0) close(conn->fd);
-  delete conn;
+  if (conn->out_start >= conn->out.size()) {
+    conn->out.clear();
+    conn->out_start = 0;
+  }
 }
 
 }  // namespace aplus

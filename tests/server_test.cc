@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -83,6 +84,36 @@ struct RowCollector : RowConsumer {
     }
   }
 };
+
+// An EXECUTE frame with an optional int64 `src` binding, for raw sends.
+std::vector<uint8_t> ExecuteFrame(uint32_t stmt_id, uint64_t max_rows, const int64_t* src) {
+  std::vector<uint8_t> buf;
+  wire::FrameWriter w(&buf);
+  w.BeginFrame(wire::FrameType::kExecute);
+  w.PutU32(stmt_id);
+  w.PutU32(0);  // server default deadline
+  w.PutU64(max_rows);
+  w.PutU32(src != nullptr ? 1 : 0);
+  if (src != nullptr) {
+    w.PutStr16("src");
+    w.PutU8(static_cast<uint8_t>(wire::ParamTag::kInt64));
+    w.PutI64(*src);
+  }
+  w.EndFrame();
+  return buf;
+}
+
+// A frame whose payload is at most one u32 (FETCH appends max_rows).
+std::vector<uint8_t> SmallFrame(wire::FrameType type, const uint32_t* stmt_id,
+                                const uint64_t* max_rows = nullptr) {
+  std::vector<uint8_t> buf;
+  wire::FrameWriter w(&buf);
+  w.BeginFrame(type);
+  if (stmt_id != nullptr) w.PutU32(*stmt_id);
+  if (max_rows != nullptr) w.PutU64(*max_rows);
+  w.EndFrame();
+  return buf;
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -589,6 +620,169 @@ TEST_F(ServerTest, CleanShutdownDrainsInflightQueries) {
   server_->Stop();  // must not hang with executes in flight
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(responded.load(), kClients);
+}
+
+TEST_F(ServerTest, CancelLandsWhileTheOnlyWorkerExecutes) {
+  // One worker, busy with the whole-graph triangle: the CANCEL can only
+  // be read by the I/O loop thread, which must act on it mid-execute.
+  Rebuild(20000);
+  ServerOptions options;
+  options.num_workers = 1;
+  StartServer(options);
+  auto client = Connect();
+  Client::PreparedInfo info = client->Prepare(
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c) RETURN COUNT(*)");
+  ASSERT_TRUE(info.ok()) << info.error;
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<double> cancel_after{0.0};
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    cancel_after.store(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+    client->Cancel();
+  });
+  Client::Result result = client->Execute(info.stmt_id, {});
+  canceller.join();
+  if (result.ok()) {
+    // Only a query that finished before the cancel was sent may succeed.
+    EXPECT_LT(result.seconds, cancel_after.load())
+        << "the execute outlived the CANCEL but was not cancelled";
+    return;
+  }
+  EXPECT_EQ(result.status, wire::WireStatus::kCancelled) << result.error;
+  // The connection and the single worker stay usable.
+  Client::Result retry = client->Execute(info.stmt_id, {}, /*deadline_millis=*/60000);
+  EXPECT_TRUE(retry.ok()) << retry.error;
+}
+
+TEST_F(ServerTest, PipelinedFramesAnswerInOrder) {
+  StartServer();
+  auto client = Connect();
+  Client::PreparedInfo rows = client->Prepare(kWholeGraphRows);
+  Client::PreparedInfo count = client->Prepare(kPointCount);
+  ASSERT_TRUE(rows.ok()) << rows.error;
+  ASSERT_TRUE(count.ok()) << count.error;
+  const uint64_t total_rows = OracleRows(kWholeGraphRows).size();
+  ASSERT_GT(total_rows, 200u);
+
+  // EXECUTE (first page), EXECUTE, STATS, FETCH (rest), CLOSE in one send.
+  const int64_t src = 7;
+  const uint64_t page = 100;
+  const uint64_t rest = 0;
+  std::vector<uint8_t> burst = ExecuteFrame(rows.stmt_id, page, nullptr);
+  for (const std::vector<uint8_t>& frame :
+       {ExecuteFrame(count.stmt_id, 0, &src), SmallFrame(wire::FrameType::kStats, nullptr),
+        SmallFrame(wire::FrameType::kFetch, &rows.stmt_id, &rest),
+        SmallFrame(wire::FrameType::kClose, &rows.stmt_id)}) {
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(client->SendRaw(burst.data(), burst.size()));
+
+  // Reads one response: ROWS frames up to its terminator, whose type and
+  // payload are returned.
+  auto read_response = [&](uint64_t* rows_seen, std::vector<uint8_t>* last) {
+    *rows_seen = 0;
+    std::string error;
+    while (client->ReadFrameRaw(last, &error)) {
+      const auto type = static_cast<wire::FrameType>((*last)[4]);
+      if (type != wire::FrameType::kRows) return type;
+      wire::DecodedRows decoded;
+      EXPECT_TRUE(wire::DecodeRowsPayload(last->data() + wire::kFrameHeaderBytes,
+                                          last->size() - wire::kFrameHeaderBytes, &decoded,
+                                          &error))
+          << error;
+      *rows_seen += decoded.rows.size();
+    }
+    ADD_FAILURE() << "connection ended early: " << error;
+    return wire::FrameType::kError;
+  };
+  uint64_t first = 0;
+  uint64_t counted = 0;
+  uint64_t fetched = 0;
+  uint64_t none = 0;
+  std::vector<uint8_t> frame;
+  ASSERT_EQ(read_response(&first, &frame), wire::FrameType::kDone);
+  EXPECT_EQ(frame[6], 1) << "first page should leave more rows";  // DONE.more
+  EXPECT_GE(first, page);
+  EXPECT_LT(first, total_rows);
+  ASSERT_EQ(read_response(&counted, &frame), wire::FrameType::kDone);
+  EXPECT_EQ(counted, 1u);  // COUNT(*) is one row
+  ASSERT_EQ(read_response(&none, &frame), wire::FrameType::kStatsResult);
+  uint64_t queries = 0;
+  std::memcpy(&queries, frame.data() + wire::kFrameHeaderBytes + 24, sizeof(queries));
+  EXPECT_EQ(queries, 2u);  // both executes ran before STATS was answered
+  ASSERT_EQ(read_response(&fetched, &frame), wire::FrameType::kDone);
+  EXPECT_EQ(frame[6], 0);
+  EXPECT_EQ(first + fetched, total_rows);
+  ASSERT_EQ(read_response(&none, &frame), wire::FrameType::kClosed);
+  uint32_t closed = 0;
+  std::memcpy(&closed, frame.data() + wire::kFrameHeaderBytes, sizeof(closed));
+  EXPECT_EQ(closed, rows.stmt_id);
+  // Still in step: a normal round trip follows.
+  Client::Result again = client->Execute(count.stmt_id, {{"src", Value::Int64(src)}});
+  EXPECT_TRUE(again.ok()) << again.error;
+}
+
+TEST_F(ServerTest, LargeResultReachesAReaderThatStartsLate) {
+  // A result far beyond the socket buffers: the worker's send stops
+  // short, the I/O loop thread drains the rest as the client reads, and
+  // the connection then goes back to serving requests.
+  Rebuild(2000);
+  StartServer();
+  auto client = Connect();
+  Client::PreparedInfo info = client->Prepare(kWholeGraphRows);
+  ASSERT_TRUE(info.ok()) << info.error;
+  std::vector<uint8_t> execute = ExecuteFrame(info.stmt_id, 0, nullptr);
+  ASSERT_TRUE(client->SendRaw(execute.data(), execute.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  uint64_t rows = 0;
+  std::vector<uint8_t> frame;
+  std::string error;
+  while (true) {
+    ASSERT_TRUE(client->ReadFrameRaw(&frame, &error)) << error;
+    const auto type = static_cast<wire::FrameType>(frame[4]);
+    if (type != wire::FrameType::kRows) {
+      ASSERT_EQ(type, wire::FrameType::kDone);
+      break;
+    }
+    uint32_t batch_rows = 0;
+    std::memcpy(&batch_rows, frame.data() + wire::kFrameHeaderBytes, sizeof(batch_rows));
+    rows += batch_rows;
+  }
+  uint64_t count = 0;
+  std::memcpy(&count, frame.data() + wire::kFrameHeaderBytes + 2, sizeof(count));
+  EXPECT_EQ(rows, count);
+  EXPECT_GT(rows * 3 * sizeof(int64_t), uint64_t{8} << 20);
+  Client::Stats stats = client->GetStats();
+  EXPECT_TRUE(stats.ok) << stats.error;
+}
+
+TEST_F(ServerTest, DisconnectMidExecuteThenConnectionChurn) {
+  Rebuild(20000);
+  StartServer();
+  {
+    // Sends the whole-graph triangle and hangs up while it runs.
+    auto client = Connect();
+    Client::PreparedInfo info = client->Prepare(
+        "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c) RETURN COUNT(*)");
+    ASSERT_TRUE(info.ok()) << info.error;
+    std::vector<uint8_t> execute = ExecuteFrame(info.stmt_id, 0, nullptr);
+    ASSERT_TRUE(client->SendRaw(execute.data(), execute.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    client->Close();
+  }
+  for (int i = 0; i < 200; ++i) {
+    auto client = Connect();
+    ASSERT_TRUE(client->connected()) << "cycle " << i;
+    client->Close();
+  }
+  // Still serviceable.
+  auto client = Connect();
+  Client::PreparedInfo info = client->Prepare(kPointCount);
+  ASSERT_TRUE(info.ok()) << info.error;
+  Client::Result result = client->Execute(info.stmt_id, {{"src", Value::Int64(7)}});
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(Canon(result.rows.rows), Canon(OracleRows(kPointCount, {{"src", Value::Int64(7)}})));
 }
 
 }  // namespace
