@@ -11,15 +11,8 @@ namespace aplus {
 
 namespace {
 
-int IntFromEnvOr(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  long v = std::strtol(env, nullptr, 10);
-  if (v < 0) return fallback;
-  return static_cast<int>(v);
-}
-
-int64_t Int64FromEnvOr(const char* name, int64_t fallback) {
+// Non-negative int64 from an env knob; `fallback` when unset/unparsable.
+int64_t Int64FromEnv(const char* name, int64_t fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return fallback;
   char* end = nullptr;
@@ -35,12 +28,13 @@ Database::Database(Graph graph) : graph_(std::move(graph)) {
   maintainer_ = std::make_unique<Maintainer>(&graph_, store_.get());
   // Optional admission control (disabled unless APLUS_MAX_CONCURRENT is
   // set): queue depth defaults to the slot count, queue wait to 100 ms.
-  const int max_concurrent = IntFromEnvOr("APLUS_MAX_CONCURRENT", 0);
+  const int max_concurrent = static_cast<int>(Int64FromEnv("APLUS_MAX_CONCURRENT", 0));
   if (max_concurrent > 0) {
     AdmissionConfig config;
     config.max_concurrent = max_concurrent;
-    config.max_queue = IntFromEnvOr("APLUS_ADMISSION_QUEUE", max_concurrent);
-    config.queue_timeout_ms = IntFromEnvOr("APLUS_ADMISSION_TIMEOUT_MS", 100);
+    config.max_queue = static_cast<int>(Int64FromEnv("APLUS_ADMISSION_QUEUE", max_concurrent));
+    config.queue_timeout_ms =
+        static_cast<int>(Int64FromEnv("APLUS_ADMISSION_TIMEOUT_MS", 100));
     admission_.Configure(config);
   }
 }
@@ -147,21 +141,41 @@ DdlResult Database::ExecuteDdl(const std::string& command) {
   return result;
 }
 
+bool Database::PlanStale(uint64_t store_version, uint64_t num_edges) const {
+  const uint64_t live_edges = graph_.num_edges();
+  return store_version != store_->version() || live_edges < num_edges ||
+         live_edges > num_edges * 2;
+}
+
 DpOptimizer* Database::CachedOptimizer() {
-  // The optimizer's catalog statistics are a cost model, not a
-  // correctness input, so ingest does not have to rebuild it per edge:
-  // refresh on DDL (version bump), on shrinkage, or once the graph has
-  // grown enough (2x) that its cardinality estimates are meaningfully
-  // stale. This keeps Prepare cheap while updates stream in.
-  uint64_t num_edges = graph_.num_edges();
-  bool stale = optimizer_ == nullptr || optimizer_store_version_ != store_->version() ||
-               num_edges < optimizer_num_edges_ || num_edges > optimizer_num_edges_ * 2;
-  if (stale) {
+  // The optimizer's catalog statistics are a cost model: ingest rebuilds
+  // them only under the plan staleness rule, which keeps Prepare cheap
+  // while updates stream in.
+  if (optimizer_ == nullptr || PlanStale(optimizer_store_version_, optimizer_num_edges_)) {
     optimizer_ = std::make_unique<DpOptimizer>(&graph_, store_.get());
     optimizer_store_version_ = store_->version();
-    optimizer_num_edges_ = num_edges;
+    optimizer_num_edges_ = graph_.num_edges();
   }
   return optimizer_.get();
+}
+
+std::unique_ptr<Plan> Database::PlanQuery(const QueryGraph& query,
+                                          std::unique_ptr<ProjectSinkOp> sink,
+                                          std::string* plan_text) {
+  std::lock_guard<std::mutex> lock(prepare_mu_);
+  // During concurrent ingest the probe paths merge deltas themselves;
+  // flushing here would serialize planning against the ingest thread.
+  if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
+  DpOptimizer* optimizer = CachedOptimizer();
+  const bool projecting = sink != nullptr;
+  std::unique_ptr<Plan> plan = optimizer->Optimize(query, std::move(sink));
+  if (plan != nullptr) {
+    *plan_text = RenderPlanTree(
+        query, graph_.catalog(), optimizer->last_steps(),
+        projecting ? static_cast<ProjectSinkOp*>(plan->sink(0))->ChainLines()
+                   : std::vector<std::string>());
+  }
+  return plan;
 }
 
 void Database::BeginConcurrentIngest(const ConcurrentIngestOptions& options) {
@@ -336,21 +350,14 @@ std::unique_ptr<PreparedQuery> Database::Prepare(const std::string& text,
     prepared->columns_ = std::move(out_schema);
   }
   prepared->has_stages_ = !stages.empty();
-  // During concurrent ingest the probe paths merge deltas themselves;
-  // flushing here would serialize Prepare against the ingest thread.
-  if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
-  DpOptimizer* optimizer = CachedOptimizer();
   auto sink = std::make_unique<ProjectSinkOp>(&graph_, std::move(inputs), options.batch_rows,
                                               &prepared->controls_, std::move(stages));
-  std::unique_ptr<Plan> plan = optimizer->Optimize(prepared->query_, std::move(sink));
+  std::unique_ptr<Plan> plan = PlanQuery(prepared->query_, std::move(sink), &prepared->plan_text_);
   if (plan == nullptr) {
     prepared->status_ = QueryOutcome::Status::kPlanError;
     prepared->error_ = "no plan found (disconnected or unsupported query)";
     return prepared;
   }
-  prepared->plan_text_ = RenderPlanTree(
-      prepared->query_, graph_.catalog(), optimizer->last_steps(),
-      static_cast<ProjectSinkOp*>(plan->sink(0))->ChainLines());
   plan->SetExecContext(&prepared->controls_.token, &prepared->controls_.budget);
   prepared->plan_ = std::move(plan);
   prepared->RefreshSlots();
@@ -373,8 +380,6 @@ std::unique_ptr<PreparedQuery> Database::ClonePrepared(const PreparedQuery& src)
   clone->plan_text_ = src.plan_text_;
   clone->store_version_ = src.store_version_;
   clone->num_edges_ = src.num_edges_;
-  clone->timeout_millis_ = src.timeout_millis_;
-  clone->mem_cap_bytes_ = src.mem_cap_bytes_;
   for (const PreparedQuery::ParamInfo& param : src.params_) {
     PreparedQuery::ParamInfo info;
     info.name = param.name;
@@ -400,47 +405,64 @@ std::unique_ptr<PreparedQuery> Database::ClonePrepared(const PreparedQuery& src)
   return clone;
 }
 
+PreparedQuery::Limits PreparedQuery::ArmLimits(int64_t timeout_millis, int64_t mem_cap_bytes,
+                                               ExecToken* token, MemoryBudget* budget) {
+  Limits limits;
+  limits.timeout_ms =
+      timeout_millis >= 0 ? timeout_millis : Int64FromEnv("APLUS_QUERY_TIMEOUT_MS", 0);
+  if (limits.timeout_ms > 0) token->ArmDeadlineMillis(limits.timeout_ms);
+  if (mem_cap_bytes >= 0) {
+    limits.mem_cap = static_cast<uint64_t>(mem_cap_bytes);
+    limits.mem_cap_source = "set_mem_cap_bytes";
+  } else {
+    limits.mem_cap = static_cast<uint64_t>(Int64FromEnv("APLUS_MEM_CAP", 0));
+  }
+  budget->Reset(limits.mem_cap);
+  MemoryBudget::SetProcessCeiling(static_cast<uint64_t>(Int64FromEnv("APLUS_MEM_CAP_TOTAL", 0)));
+  return limits;
+}
+
+bool PreparedQuery::ReportStop(StopReason reason, const Limits& limits, const char* during,
+                               QueryOutcome* out) {
+  switch (reason) {
+    case StopReason::kNone:
+    case StopReason::kLimit:
+      return false;
+    case StopReason::kResourceExhausted:
+      out->status = QueryOutcome::Status::kResourceExhausted;
+      out->error = "memory budget exceeded (" + std::string(limits.mem_cap_source) + "=" +
+                   std::to_string(limits.mem_cap) + " bytes)" + during;
+      return true;
+    case StopReason::kTimeout:
+      out->status = QueryOutcome::Status::kTimeout;
+      out->error =
+          "query deadline exceeded (" + std::to_string(limits.timeout_ms) + " ms)" + during;
+      return true;
+    case StopReason::kCancelled:
+      out->status = QueryOutcome::Status::kCancelled;
+      out->error = std::string("query cancelled") + during;
+      return true;
+  }
+  return false;
+}
+
 QueryOutcome Database::Execute(const QueryGraph& query) {
   QueryOutcome out;
-  if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
-  DpOptimizer* optimizer = CachedOptimizer();
-  std::unique_ptr<Plan> plan = optimizer->Optimize(query);
+  std::unique_ptr<Plan> plan = PlanQuery(query, nullptr, &out.plan);
   if (plan == nullptr) {
     out.status = QueryOutcome::Status::kPlanError;
     out.error = "no plan found (disconnected or unsupported query)";
     return out;
   }
-  // Governance parity with the serving path: the programmatic
-  // (QueryGraph) one-shot honors APLUS_QUERY_TIMEOUT_MS, APLUS_MEM_CAP
-  // and APLUS_MEM_CAP_TOTAL too, so a whole binary — table benches
-  // included — respects the caps, not just Session traffic.
+  // Governance parity with the serving path: a whole binary — table
+  // benches included — respects the same env limits as Session traffic.
   ExecToken token;
   MemoryBudget budget;
-  const int64_t timeout_ms = Int64FromEnvOr("APLUS_QUERY_TIMEOUT_MS", 0);
-  if (timeout_ms > 0) token.ArmDeadlineMillis(timeout_ms);
-  const uint64_t mem_cap = static_cast<uint64_t>(Int64FromEnvOr("APLUS_MEM_CAP", 0));
-  budget.Reset(mem_cap);
-  MemoryBudget::SetProcessCeiling(
-      static_cast<uint64_t>(Int64FromEnvOr("APLUS_MEM_CAP_TOTAL", 0)));
+  const PreparedQuery::Limits limits = PreparedQuery::ArmLimits(-1, -1, &token, &budget);
   plan->SetExecContext(&token, &budget);
-  QueryResult result = RunPlan(plan.get());
-  out.count = result.count;
-  out.seconds = result.seconds;
-  switch (token.reason()) {
-    case StopReason::kTimeout:
-      out.status = QueryOutcome::Status::kTimeout;
-      out.error = "query deadline exceeded (APLUS_QUERY_TIMEOUT_MS=" +
-                  std::to_string(timeout_ms) + " ms)";
-      break;
-    case StopReason::kResourceExhausted:
-      out.status = QueryOutcome::Status::kResourceExhausted;
-      out.error =
-          "memory budget exceeded (APLUS_MEM_CAP=" + std::to_string(mem_cap) + " bytes)";
-      break;
-    default:
-      break;
-  }
-  out.plan = RenderPlanTree(query, graph_.catalog(), optimizer->last_steps());
+  out.count = plan->Execute();
+  out.seconds = plan->last_execute_seconds();
+  PreparedQuery::ReportStop(token.reason(), limits, "", &out);
   return out;
 }
 
@@ -452,11 +474,8 @@ QueryOutcome Database::ExecuteCypher(const std::string& text, RowConsumer* consu
 }
 
 std::string Database::Explain(const QueryGraph& query) {
-  if (!concurrent_ingest_active() && store_->HasPendingUpdates()) store_->FlushAll();
-  DpOptimizer* optimizer = CachedOptimizer();
-  std::unique_ptr<Plan> plan = optimizer->Optimize(query);
-  if (plan == nullptr) return "(no plan)";
-  return RenderPlanTree(query, graph_.catalog(), optimizer->last_steps());
+  std::string text;
+  return PlanQuery(query, nullptr, &text) != nullptr ? text : "(no plan)";
 }
 
 std::string Database::Explain(const std::string& text) {

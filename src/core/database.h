@@ -3,15 +3,16 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/admission.h"
+#include "core/plan_cache.h"
 #include "core/session.h"
 #include "index/index_store.h"
 #include "index/maintenance.h"
 #include "optimizer/dp_optimizer.h"
 #include "query/cypher_parser.h"
-#include "query/executor.h"
 #include "query/query_graph.h"
 #include "storage/graph.h"
 #include "view/ddl_parser.h"
@@ -44,7 +45,7 @@ struct ConcurrentIngestOptions {
 //   db.BuildPrimaryIndexes();
 //   db.ExecuteDdl("RECONFIGURE PRIMARY INDEXES ...");
 //
-//   Session session(&db);  // one per serving thread
+//   Session session(&db);  // one per serving thread; leases from db.plan_cache()
 //   PreparedQuery* q = session.Prepare(
 //       "MATCH (a)-[r1:W]->(b)-[r2:W]->(c) WHERE a.ID = $src "
 //       "RETURN b, c, r2.amount LIMIT 100");
@@ -53,6 +54,13 @@ struct ConcurrentIngestOptions {
 //
 // One-shot paths (Execute / ExecuteCypher) parse + optimize per call and
 // also report through QueryOutcome.
+//
+// Threading: Sessions (and server connections) on one Database may
+// prepare and execute concurrently. Planning — Prepare, Execute(const
+// QueryGraph&), Explain — is serialized by one internal lock around the
+// cached optimizer. DDL, BuildPrimaryIndexes, sealing and the ingest
+// transitions require quiescence, and Prepare is unsupported while a
+// concurrent ingest thread writes.
 class Segment;
 
 class Database {
@@ -138,9 +146,9 @@ class Database {
 
   // Parses + optimizes `text` once into a reusable PreparedQuery (always
   // non-null; parse/plan failures are carried in its status and
-  // re-reported by Execute). Prefer Session::Prepare, which caches on
-  // normalized query text and revalidates against the store/graph
-  // version counters.
+  // re-reported by Execute). Prefer Session::Prepare, which leases from
+  // plan_cache(): one prepare per normalized text, revalidated by
+  // PlanStale.
   std::unique_ptr<PreparedQuery> Prepare(const std::string& text,
                                          const PrepareOptions& options = {});
 
@@ -149,13 +157,14 @@ class Database {
   // primary pipeline is cloned into a fresh Plan wired to a fresh
   // PreparedQuery with its own ExecControls, empty scratch, and all
   // parameters unbound. `src` is read-only here and must not be
-  // executing concurrently. This is the cross-session shared plan
-  // cache's checkout path (src/server/shared_plan_cache.h): parse +
-  // optimize once per distinct query text, clone per connection.
+  // executing concurrently. This is the plan cache's checkout path
+  // (core/plan_cache.h): parse + optimize once per distinct query text,
+  // clone per Session or connection.
   std::unique_ptr<PreparedQuery> ClonePrepared(const PreparedQuery& src);
 
   // Optimizes and runs a programmatic pattern (counting); flushes
-  // pending index updates first.
+  // pending index updates first. Honors APLUS_QUERY_TIMEOUT_MS,
+  // APLUS_MEM_CAP and APLUS_MEM_CAP_TOTAL like PreparedQuery::Execute.
   QueryOutcome Execute(const QueryGraph& query);
 
   // One-shot Cypher: Prepare + Execute. Rows stream to `consumer` when
@@ -174,10 +183,28 @@ class Database {
   // admission().Configure(). Disabled by default.
   AdmissionController& admission() { return admission_; }
 
+  // The database-wide plan cache every Session and aplusd connection
+  // leases prepared queries from.
+  PlanCache& plan_cache() { return plan_cache_; }
+
+  // The one staleness rule for planning state captured at
+  // (store_version, num_edges) — cached plans and the cached optimizer
+  // alike: stale once DDL moved the store version, or the edge count
+  // left [num_edges, 2 * num_edges]. Cost estimates are not a
+  // correctness input, so ingest re-plans only once the graph doubled or
+  // shrank; PreparedQuery::current() checks the store version alone.
+  bool PlanStale(uint64_t store_version, uint64_t num_edges) const;
+
  private:
-  // Rebuilds the cached optimizer when the index set or the graph
-  // changed since it was created.
+  // Under prepare_mu_: rebuilds the cached optimizer when PlanStale
+  // rejects the state it was built for.
   DpOptimizer* CachedOptimizer();
+  // Flushes pending index updates (outside concurrent ingest) and plans
+  // `query` ending in `sink` (null: the counting sink) under prepare_mu_.
+  // Returns null when no plan exists; otherwise *plan_text receives the
+  // Figure 6-style rendering.
+  std::unique_ptr<Plan> PlanQuery(const QueryGraph& query, std::unique_ptr<ProjectSinkOp> sink,
+                                  std::string* plan_text);
 
   Graph graph_;
   // Mapping behind segment-backed primary pages; null for in-memory
@@ -189,8 +216,11 @@ class Database {
   std::unique_ptr<DpOptimizer> optimizer_;
   AdmissionController admission_;
   std::atomic<bool> ingest_active_{false};
+  std::mutex prepare_mu_;  // guards optimizer_ and its state below
   uint64_t optimizer_store_version_ = ~0ULL;
   uint64_t optimizer_num_edges_ = 0;
+  // Declared last: cached plans point into the store, so they go first.
+  PlanCache plan_cache_{this};
 };
 
 }  // namespace aplus

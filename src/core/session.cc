@@ -1,7 +1,6 @@
 #include "core/session.h"
 
 #include <cctype>
-#include <cstdlib>
 #include <limits>
 
 #include "core/admission.h"
@@ -10,20 +9,6 @@
 #include "util/timer.h"
 
 namespace aplus {
-
-namespace {
-
-// Non-negative int64 from an env knob; `fallback` when unset/unparsable.
-int64_t Int64FromEnv(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  long long v = std::strtoll(env, &end, 10);
-  if (end == env || v < 0) return fallback;
-  return static_cast<int64_t>(v);
-}
-
-}  // namespace
 
 const char* ToString(QueryOutcome::Status status) {
   switch (status) {
@@ -81,7 +66,7 @@ bool PreparedQuery::current() const {
   // the plan points into). Plain edge growth does NOT invalidate: probe
   // paths merge run + delta views, so a prepared plan keeps returning
   // correct rows across online ingest. Plan *quality* staleness from
-  // large growth is a cache policy, handled by Session::Prepare.
+  // large growth is a cache policy (Database::PlanStale).
   return plan_ != nullptr && store_version_ == db_->index_store().version();
 }
 
@@ -206,12 +191,16 @@ bool PreparedQuery::Bind(const std::string& name, const Value& value) {
   return true;
 }
 
-void PreparedQuery::ClearBindings() {
+void PreparedQuery::Recycle() {
   for (ParamInfo& param : params_) {
     param.bound = false;
     param.value = Value();
   }
   bind_error_.clear();
+  timeout_millis_ = -1;
+  mem_cap_bytes_ = -1;
+  controls_.token.Reset();
+  controls_.budget.Reset(0);
 }
 
 QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
@@ -271,35 +260,14 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   }
   controls_.rows_remaining.store(budget, std::memory_order_relaxed);
   controls_.rows_emitted = 0;
-  // Stop token: clear last execution's state, then arm the deadline.
-  // The env knobs are read per execution so serving deployments can
-  // adjust them without re-preparing (getenv allocates nothing). A
+  // Stop token: clear last execution's state, then arm the limits. A
   // Cancel() issued while no execute was running targets this one
   // (session.h contract), so it survives the reset.
   const bool pre_cancelled = controls_.token.reason() == StopReason::kCancelled;
   controls_.token.Reset();
   if (pre_cancelled) controls_.token.Cancel();
-  const int64_t timeout_ms = timeout_millis_ >= 0
-                                 ? timeout_millis_
-                                 : Int64FromEnv("APLUS_QUERY_TIMEOUT_MS", 0);
-  if (timeout_ms > 0) controls_.token.ArmDeadlineMillis(timeout_ms);
-  // Memory budget: explicit set_mem_cap_bytes wins, then APLUS_MEM_CAP,
-  // then the deprecated group-by-era alias. The source name is kept for
-  // the kResourceExhausted error message.
-  uint64_t mem_cap = 0;
-  const char* mem_cap_source = "APLUS_MEM_CAP";
-  if (mem_cap_bytes_ >= 0) {
-    mem_cap = static_cast<uint64_t>(mem_cap_bytes_);
-    mem_cap_source = "set_mem_cap_bytes";
-  } else if (std::getenv("APLUS_MEM_CAP") != nullptr) {
-    mem_cap = static_cast<uint64_t>(Int64FromEnv("APLUS_MEM_CAP", 0));
-  } else if (std::getenv("APLUS_GROUPBY_MEM_CAP") != nullptr) {
-    mem_cap = static_cast<uint64_t>(Int64FromEnv("APLUS_GROUPBY_MEM_CAP", 0));
-    mem_cap_source = "APLUS_GROUPBY_MEM_CAP";
-  }
-  controls_.budget.Reset(mem_cap);
-  MemoryBudget::SetProcessCeiling(
-      static_cast<uint64_t>(Int64FromEnv("APLUS_MEM_CAP_TOTAL", 0)));
+  const Limits limits =
+      ArmLimits(timeout_millis_, mem_cap_bytes_, &controls_.token, &controls_.budget);
   for (int i = 0; i < plan_->num_pipelines(); ++i) {
     static_cast<ProjectSinkOp*>(plan_->sink(i))->ResetBatch();
   }
@@ -319,20 +287,8 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
   // incomplete, so no merge, no Finish, no rows — a clean error instead
   // of silently wrong aggregates; stage-less projections have already
   // streamed a partial row prefix to the consumer.
-  const StopReason stop_reason = controls_.token.reason();
-  if (stop_reason != StopReason::kNone && stop_reason != StopReason::kLimit) {
+  if (ReportStop(controls_.token.reason(), limits, "", &out)) {
     controls_.consumer = nullptr;
-    if (stop_reason == StopReason::kResourceExhausted) {
-      out.status = QueryOutcome::Status::kResourceExhausted;
-      out.error = "memory budget exceeded (" + std::string(mem_cap_source) + "=" +
-                  std::to_string(mem_cap) + " bytes)";
-    } else if (stop_reason == StopReason::kTimeout) {
-      out.status = QueryOutcome::Status::kTimeout;
-      out.error = "query deadline exceeded (" + std::to_string(timeout_ms) + " ms)";
-    } else {
-      out.status = QueryOutcome::Status::kCancelled;
-      out.error = "query cancelled";
-    }
     out.count = count;
     out.rows = (!has_stages_ && !count_star_only_ && !columns_.empty()) ? count : 0;
     out.seconds = timer.ElapsedSeconds();
@@ -362,16 +318,8 @@ QueryOutcome PreparedQuery::Execute(RowConsumer* consumer, int num_threads) {
     // The deadline (or a cancel) can land mid-cascade — the sort / group
     // emission polls the token too. The delivered prefix is incomplete:
     // report the typed status with the partial row counter.
-    const StopReason finish_reason = controls_.token.reason();
-    if (finish_reason == StopReason::kTimeout || finish_reason == StopReason::kCancelled) {
+    if (ReportStop(controls_.token.reason(), limits, " during result emission", &out)) {
       controls_.consumer = nullptr;
-      out.status = finish_reason == StopReason::kTimeout
-                       ? QueryOutcome::Status::kTimeout
-                       : QueryOutcome::Status::kCancelled;
-      out.error = finish_reason == StopReason::kTimeout
-                      ? "query deadline exceeded (" + std::to_string(timeout_ms) +
-                            " ms, during result emission)"
-                      : "query cancelled (during result emission)";
       out.count = count;
       out.seconds = timer.ElapsedSeconds();
       controls_.token.Reset();  // consume; see the abnormal-stop block
@@ -403,27 +351,21 @@ PreparedQuery* Session::Prepare(const std::string& text, const PrepareOptions& o
   ++tick_;
   auto it = cache_.find(key);
   if (it != cache_.end()) {
-    // A cached plan stays *valid* across ingest (current() checks the
-    // store version only), but its join order was costed on the graph as
-    // of Prepare; once the graph doubles, re-prepare for plan quality.
-    uint64_t num_edges = db_->graph().num_edges();
-    uint64_t prepared_edges = it->second.prepared->num_edges_at_prepare();
-    bool quality_stale = num_edges < prepared_edges || num_edges > prepared_edges * 2;
-    if (it->second.prepared->current() && !quality_stale) {
+    if (!db_->plan_cache().Stale(*it->second.lease.get())) {
       ++cache_hits_;
       it->second.last_used = tick_;
-      return it->second.prepared.get();
+      return it->second.lease.get();
     }
     cache_.erase(it);  // stale: the store moved on, or the graph outgrew the plan
   }
   ++cache_misses_;
-  std::unique_ptr<PreparedQuery> prepared = db_->Prepare(text, options);
-  PreparedQuery* raw = prepared.get();
+  PlanCache::Lease lease = db_->plan_cache().Acquire(text, options);
+  PreparedQuery* raw = lease.get();
   if (!raw->ok()) {
-    last_failed_ = std::move(prepared);
-    return last_failed_.get();
+    last_failed_ = std::move(lease);
+    return raw;
   }
-  // Session-wide default deadline, stamped at prepare time; a later
+  // Session-wide default deadline, stamped on every lease; a later
   // set_deadline_millis on the prepared query overrides it.
   if (default_deadline_millis_ >= 0) raw->set_deadline_millis(default_deadline_millis_);
   if (cache_.size() >= kMaxCachedQueries) {
@@ -433,7 +375,7 @@ PreparedQuery* Session::Prepare(const std::string& text, const PrepareOptions& o
     }
     cache_.erase(victim);
   }
-  cache_.emplace(std::move(key), CacheEntry{std::move(prepared), tick_});
+  cache_.emplace(std::move(key), Held{std::move(lease), tick_});
   return raw;
 }
 

@@ -6,8 +6,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/plan_cache.h"
 #include "query/cypher_parser.h"
-#include "query/executor.h"
+#include "query/plan.h"
 #include "query/row_sink.h"
 
 namespace aplus {
@@ -110,16 +111,10 @@ class PreparedQuery {
   bool Bind(const std::string& name, const Value& value);
   const std::string& bind_error() const { return bind_error_; }
 
-  // Unbinds every parameter (pooled-instance hygiene: a shared-cache
-  // instance returned by one connection must not execute with its
-  // previous owner's values — see src/server/shared_plan_cache.h).
-  // Execute reports kBindError until the parameters are re-bound.
-  void ClearBindings();
-
   // Runs the plan. Rows stream to `consumer` (may be null: rows are
-  // counted, then dropped). `num_threads` as in RunPlan: kUseEnvThreads
-  // defers to APLUS_THREADS (serial for projecting queries), >= 1 pins
-  // the worker count.
+  // counted, then dropped). `num_threads` == kUseEnvThreads defers to
+  // APLUS_THREADS (serial for projecting queries), >= 1 pins the worker
+  // count.
   QueryOutcome Execute(RowConsumer* consumer = nullptr, int num_threads = kUseEnvThreads);
 
   // Wall-clock deadline for each Execute, in milliseconds: every worker
@@ -137,7 +132,7 @@ class PreparedQuery {
   // Per-query memory budget, in bytes, charged by the group/sort/project
   // arenas and plan scratch; crossing it returns kResourceExhausted.
   // 0 removes the cap; a negative value (the default) defers to
-  // APLUS_MEM_CAP, then the deprecated APLUS_GROUPBY_MEM_CAP alias.
+  // APLUS_MEM_CAP.
   void set_mem_cap_bytes(int64_t bytes) { mem_cap_bytes_ = bytes; }
 
   // True while the plan is still valid against the database's index
@@ -161,14 +156,35 @@ class PreparedQuery {
   // the match count.
   bool count_star_only() const { return count_star_only_; }
   const std::string& normalized_text() const { return normalized_text_; }
-  // Edge count the plan was costed against (Session's plan-quality
-  // re-prepare heuristic compares it to the live graph).
-  uint64_t num_edges_at_prepare() const { return num_edges_; }
 
  private:
   friend class Database;
+  friend class PlanCache;
 
   explicit PreparedQuery(Database* db) : db_(db) {}
+
+  // What one execution runs under: the deadline and memory cap armed on
+  // its token and budget, and where the cap came from (for the error).
+  struct Limits {
+    int64_t timeout_ms = 0;
+    uint64_t mem_cap = 0;
+    const char* mem_cap_source = "APLUS_MEM_CAP";
+  };
+  // Arms `token` and `budget` for one execution: an explicit value >= 0
+  // wins, else APLUS_QUERY_TIMEOUT_MS / APLUS_MEM_CAP (re-read per call,
+  // so deployments adjust them without re-preparing); also applies the
+  // APLUS_MEM_CAP_TOTAL process ceiling.
+  static Limits ArmLimits(int64_t timeout_millis, int64_t mem_cap_bytes, ExecToken* token,
+                          MemoryBudget* budget);
+  // Reports an abnormal stop (anything but none or a satisfied LIMIT) as
+  // out's status and error, suffixed by `during`. Returns false when the
+  // execution was not stopped abnormally.
+  static bool ReportStop(StopReason reason, const Limits& limits, const char* during,
+                         QueryOutcome* out);
+
+  // Hands a pooled instance over clean: no bindings, deadline and memory
+  // cap back to "inherit", no pending Cancel(), budget charges returned.
+  void Recycle();
 
   struct ParamInfo {
     std::string name;
@@ -212,27 +228,30 @@ class PreparedQuery {
   int slots_pipelines_ = 0;
 };
 
-// A per-thread serving handle: wraps a Database with a prepared-query
-// cache keyed on normalized query text. Cache entries are revalidated
-// against the store/graph version counters on every Prepare, so DDL
-// (RECONFIGURE / CREATE ... VIEW) and ingest transparently re-plan on
-// the next request. Sessions are cheap; use one per thread (neither the
-// Session nor its PreparedQuerys are thread-safe).
+// A per-thread serving handle: holds leases from the database's plan
+// cache (Database::plan_cache()), one per normalized query text, so the
+// thread Binds and Executes its own instance without locks while the
+// parse + optimize work is shared by every Session and server connection
+// on the Database. Held leases are revalidated on every Prepare by the
+// cache's staleness rule, so DDL (RECONFIGURE / CREATE ... VIEW) and
+// ingest transparently re-plan on the next request. Sessions are cheap;
+// use one per thread (neither the Session nor its PreparedQuerys are
+// thread-safe; Sessions on one Database may run concurrently).
 class Session {
  public:
-  // Cache capacity: a long-lived session serving literal-inlined (un-
+  // Lease capacity: a long-lived session serving literal-inlined (un-
   // parameterized) texts must not grow without bound, so the least-
-  // recently-used entry is evicted once this many are cached.
-  static constexpr size_t kMaxCachedQueries = 256;
+  // recently-used lease is returned once this many are held.
+  static constexpr size_t kMaxCachedQueries = PlanCache::kMaxEntries;
 
   explicit Session(Database* db) : db_(db) {}
 
-  // Returns the cached (or freshly prepared) query for `text`. The
-  // pointer is owned by the session and stays valid until the entry is
-  // re-prepared (version-stale), LRU-evicted, or the session dies — so
-  // per-request code should call Prepare each time (hits are cheap)
-  // rather than holding the pointer across unrelated Prepares.
-  // `options` apply on cache misses only. Prepare failures are returned
+  // Returns the held (or freshly leased) query for `text`. The pointer
+  // is owned by the session and stays valid until the lease is renewed
+  // (stale), LRU-evicted, or the session dies — so per-request code
+  // should call Prepare each time (hits are cheap) rather than holding
+  // the pointer across unrelated Prepares. `options` apply only when the
+  // database's cache prepares the text. Prepare failures are returned
   // but not cached.
   PreparedQuery* Prepare(const std::string& text, const PrepareOptions& options = {});
 
@@ -245,20 +264,21 @@ class Session {
   uint64_t cache_misses() const { return cache_misses_; }
   size_t cache_size() const { return cache_.size(); }
 
-  // Default per-execute deadline stamped onto queries prepared after
-  // this call (explicit set_deadline_millis overrides it per query).
-  // Negative (the default) leaves queries on APLUS_QUERY_TIMEOUT_MS.
+  // Default per-execute deadline stamped onto every query this session
+  // leases after this call (explicit set_deadline_millis overrides it
+  // per query). Negative (the default) leaves queries on
+  // APLUS_QUERY_TIMEOUT_MS.
   void set_default_deadline_millis(int64_t millis) { default_deadline_millis_ = millis; }
 
  private:
-  struct CacheEntry {
-    std::unique_ptr<PreparedQuery> prepared;
+  struct Held {
+    PlanCache::Lease lease;
     uint64_t last_used = 0;  // Prepare tick, for LRU eviction
   };
 
   Database* db_;
-  std::unordered_map<std::string, CacheEntry> cache_;
-  std::unique_ptr<PreparedQuery> last_failed_;  // error holder, not cached
+  std::unordered_map<std::string, Held> cache_;
+  PlanCache::Lease last_failed_;  // error holder, not cached
   int64_t default_deadline_millis_ = -1;
   uint64_t tick_ = 0;
   uint64_t cache_hits_ = 0;

@@ -11,6 +11,12 @@
 
 namespace aplus {
 
+// Sentinel thread count: defer to Plan::Execute()'s APLUS_THREADS
+// environment default (1 when unset; plans with a callback or a
+// non-counting sink stay serial under the env knob). Any value >= 1
+// pins the worker count explicitly.
+inline constexpr int kUseEnvThreads = 0;
+
 // A physical plan: a pipeline of push-based operators ending in a SinkOp.
 // Plans are produced by the DP optimizer (src/optimizer) or built by hand
 // via PlanBuilder for the benchmark harnesses.
@@ -67,7 +73,7 @@ class Plan {
   // Upper bound on the worker count of Execute(num_threads).
   static constexpr int kMaxThreads = 256;
 
-  // --- Plan-clone support (server/shared_plan_cache.cc) ---
+  // --- Plan-clone support (core/plan_cache.cc) ---
   //
   // The primary pipeline's operators and the query dimensions, for
   // re-materializing an equivalent Plan (Operator::Clone per op) without

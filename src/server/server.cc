@@ -61,8 +61,7 @@ ServerOptions ServerOptions::FromEnv() {
   return options;
 }
 
-Server::Server(Database* db, const ServerOptions& options)
-    : db_(db), options_(options), cache_(db) {}
+Server::Server(Database* db, const ServerOptions& options) : db_(db), options_(options) {}
 
 Server::~Server() { Stop(); }
 
@@ -291,9 +290,15 @@ void Server::ParseFrames(Connection* conn) {
       if (!HandleFrame(conn, view)) conn->closing = true;
     } else if (view.type == wire::FrameType::kCancel) {
       // One job in flight per connection: CANCEL goes out-of-band,
-      // everything else replays in order once the job ends.
+      // everything else replays in order once the job ends. With no query
+      // running, cancelling the statement's query would hit its next
+      // execute instead, so the job is marked.
       PreparedQuery* q = conn->inflight.load();
-      if (q != nullptr) q->Cancel();
+      if (q != nullptr) {
+        q->Cancel();
+      } else {
+        conn->job.cancelled = true;
+      }
     } else if (conn->deferred.size() >= kMaxDeferredFrames) {
       SendError(conn, wire::WireStatus::kProtocolError, "too many frames queued mid-request");
       conn->closing = true;
@@ -377,6 +382,7 @@ void Server::DispatchPrepare(Connection* conn, const wire::FrameView& frame) {
   job.stmt_id = conn->next_stmt_id++;
   job.batch_key.clear();
   job.follower = false;
+  job.cancelled = false;
   conn->stmts[job.stmt_id] = std::make_unique<Statement>();
   conn->busy = true;
 }
@@ -444,11 +450,12 @@ void Server::DispatchExecute(Connection* conn, const wire::FrameView& frame) {
       deadline_ms > 0 ? static_cast<int64_t>(deadline_ms) : options_.default_deadline_millis;
   job.batch_key.clear();
   job.follower = false;
+  job.cancelled = false;
   conn->busy = true;
 
   const Statement* stmt = it->second.get();
   if (!options_.batching || !stmt->lease.valid()) return;
-  std::string key = stmt->lease.query->normalized_text();
+  std::string key = stmt->lease.get()->normalized_text();
   key.push_back('\x1f');
   key.append(reinterpret_cast<const char*>(&job.deadline_millis), sizeof(job.deadline_millis));
   key.append(reinterpret_cast<const char*>(&job.max_rows), sizeof(job.max_rows));
@@ -513,16 +520,14 @@ bool Server::PopHandoff(std::vector<Connection*>* todo, bool woken) {
 }
 
 void Server::RunPrepare(Connection* conn, std::vector<Connection*>* todo) {
-  SharedPlanCache::Lease lease = cache_.Acquire(conn->job.text);
+  PlanCache::Lease lease = db_->plan_cache().Acquire(conn->job.text, {});
   std::unique_lock<std::mutex> lock(conn->mu);
   const uint32_t stmt_id = conn->job.stmt_id;
-  if (!lease.query->ok()) {
-    wire::AppendErrorFrame(wire::ToWire(lease.query->status()), lease.query->error(),
-                           &conn->out);
-    cache_.Release(&lease);
+  PreparedQuery* q = lease.get();
+  if (!q->ok()) {
+    wire::AppendErrorFrame(wire::ToWire(q->status()), q->error(), &conn->out);
     conn->stmts.erase(stmt_id);
   } else {
-    PreparedQuery* q = lease.query;
     wire::FrameWriter w(&conn->out);
     w.BeginFrame(wire::FrameType::kPrepared);
     w.PutU32(stmt_id);
@@ -552,7 +557,7 @@ void Server::RunExecuteGroup(Connection* leader, std::vector<Connection*>* todo)
   }
 
   // The owner reads its own statements without mu: only it changes them.
-  PreparedQuery* q = leader->stmts.at(job.stmt_id)->lease.query;
+  PreparedQuery* q = leader->stmts.at(job.stmt_id)->lease.get();
   QueryOutcome outcome;
   bool bound = true;
   for (const auto& param : job.params) {
@@ -564,9 +569,16 @@ void Server::RunExecuteGroup(Connection* leader, std::vector<Connection*>* todo)
     }
   }
   auto spool = std::make_shared<Spool>();
+  bool run = bound;
   if (bound) {
+    // A CANCEL parsed before this point found no query to stop and
+    // marked the job instead: skip the run unless followers need it.
+    std::lock_guard<std::mutex> lock(leader->mu);
+    run = !job.cancelled || !followers.empty();
+    if (!job.cancelled) leader->inflight.store(q);
+  }
+  if (run) {
     q->set_deadline_millis(job.deadline_millis);
-    leader->inflight.store(q);
     // Pairs with Stop(): either its sweep sees this query or this sees
     // stopping_.
     if (stopping_.load()) q->Cancel();
@@ -612,9 +624,12 @@ void Server::Answer(Connection* conn, const QueryOutcome& outcome,
   std::unique_lock<std::mutex> lock(conn->mu);
   // A busy connection's statements stay put: a CLOSE waits its turn.
   Statement* stmt = conn->stmts.at(conn->job.stmt_id).get();
-  stmt->result = result;
+  const bool cancelled = conn->job.cancelled;  // this member alone
+  stmt->result = cancelled ? nullptr : result;
   stmt->next_chunk = 0;
-  if (outcome.ok()) {
+  if (cancelled) {
+    wire::AppendErrorFrame(wire::WireStatus::kCancelled, "query cancelled", &conn->out);
+  } else if (outcome.ok()) {
     AppendResult(stmt, conn->job.max_rows, &conn->out);
   } else {
     wire::AppendErrorFrame(wire::ToWire(outcome.status), outcome.error, &conn->out);
@@ -686,11 +701,7 @@ void Server::HandleCloseStmt(Connection* conn, const wire::FrameView& frame) {
     conn->closing = true;
     return;
   }
-  auto it = conn->stmts.find(stmt_id);
-  if (it != conn->stmts.end()) {
-    if (it->second->lease.query != nullptr) cache_.Release(&it->second->lease);
-    conn->stmts.erase(it);
-  }
+  conn->stmts.erase(stmt_id);
   wire::FrameWriter w(&conn->out);
   w.BeginFrame(wire::FrameType::kClosed);
   w.PutU32(stmt_id);
@@ -700,9 +711,10 @@ void Server::HandleCloseStmt(Connection* conn, const wire::FrameView& frame) {
 void Server::HandleStats(Connection* conn) {
   wire::FrameWriter w(&conn->out);
   w.BeginFrame(wire::FrameType::kStatsResult);
-  w.PutU64(cache_.hits());
-  w.PutU64(cache_.misses());
-  w.PutU64(cache_.size());
+  const PlanCache& cache = db_->plan_cache();
+  w.PutU64(cache.hits());
+  w.PutU64(cache.misses());
+  w.PutU64(cache.size());
   w.PutU64(queries());
   w.PutU64(batch_saved());
   w.EndFrame();
@@ -749,10 +761,7 @@ void Server::Watch(Connection* conn, uint32_t events) {
 
 void Server::Retire(Connection* conn) {
   Watch(conn, 0);
-  for (auto& entry : conn->stmts) {
-    if (entry.second->lease.query != nullptr) cache_.Release(&entry.second->lease);
-  }
-  conn->stmts.clear();
+  conn->stmts.clear();  // returns the leases
   close(conn->fd);
   conn->fd = -1;
 }

@@ -14,7 +14,6 @@
 
 #include "core/database.h"
 #include "server/protocol.h"
-#include "server/shared_plan_cache.h"
 #include "storage/value.h"
 
 namespace aplus {
@@ -43,8 +42,9 @@ struct ServerOptions {
 };
 
 // The aplusd front-end: accepts wire-protocol connections
-// (server/protocol.h), prepares statements through the cross-session
-// SharedPlanCache, and runs each request on the worker thread that read
+// (server/protocol.h), leases each statement's prepared query from the
+// database's plan cache (Database::plan_cache(), shared with every
+// Session on it), and runs each request on the worker thread that read
 // it (Leader/Followers), so a request costs one thread wake-up each way.
 //
 // Threading model:
@@ -61,9 +61,11 @@ struct ServerOptions {
 //     connections go to the idle set), connections with a job in
 //     flight, and slow readers' pending output. Reading a busy
 //     connection is what makes CANCEL land at once
-//     (PreparedQuery::Cancel is the one thread-safe entry point); any
-//     other frame that arrives mid-job is deferred and replayed in
-//     arrival order by the job's worker once the job ends.
+//     (PreparedQuery::Cancel is the one thread-safe entry point); a
+//     CANCEL read before its job's query started marks the job, which is
+//     then answered CANCELLED without running. Any other frame that
+//     arrives mid-job is deferred and replayed in arrival order by the
+//     job's worker once the job ends.
 //   * Each connection has at most ONE job in flight and one owner at a
 //     time: the idle set, a worker, or the loop thread while it drains
 //     pending output. Connection::mu guards the state the owner shares
@@ -77,7 +79,7 @@ struct ServerOptions {
 //
 // Request batching (APLUS_SERVER_BATCH): a worker parses every
 // connection one epoll_wait returned before it runs any job, and
-// EXECUTE frames that hit the same shared-cache plan entry with
+// EXECUTE frames that hit the same plan-cache text with
 // byte-identical parameters, deadline and max_rows are grouped while
 // their leader has not started; the leader seals the group, executes
 // ONCE (num_threads = min(group, 4)), and every member's statement
@@ -108,7 +110,6 @@ class Server {
   // The bound port (the real one when options.port was 0).
   int port() const { return port_; }
 
-  SharedPlanCache& plan_cache() { return cache_; }
   uint64_t queries() const { return queries_.load(std::memory_order_relaxed); }
   // Executes answered from a batch leader's pass instead of running.
   uint64_t batch_saved() const { return batch_saved_.load(std::memory_order_relaxed); }
@@ -132,7 +133,7 @@ class Server {
   };
 
   struct Statement {
-    SharedPlanCache::Lease lease;
+    PlanCache::Lease lease;
     std::shared_ptr<const Spool> result;  // null until an EXECUTE succeeds
     size_t next_chunk = 0;                // FETCH cursor into result->chunks
   };
@@ -147,6 +148,10 @@ class Server {
     std::vector<std::pair<std::string, Value>> params;
     std::string batch_key;  // a group leader's key; empty when not grouped
     bool follower = false;  // answered by another connection's leader
+    // A CANCEL arrived while no query of this job was in flight (queued,
+    // a follower, or already finished); under Connection::mu. The job is
+    // answered CANCELLED, and runs only if batch followers need it.
+    bool cancelled = false;
   };
 
   struct Connection {
@@ -166,7 +171,8 @@ class Server {
     Job job;
     // Frames received while busy, replayed in order when the job ends.
     std::deque<std::vector<uint8_t>> deferred;
-    // The executing statement's query, for out-of-band CANCEL.
+    // The executing statement's query, for out-of-band CANCEL; published
+    // under mu.
     std::atomic<PreparedQuery*> inflight{nullptr};
   };
 
@@ -226,7 +232,6 @@ class Server {
 
   Database* db_;
   ServerOptions options_;
-  SharedPlanCache cache_;
 
   int listen_fd_ = -1;
   int stop_fd_ = -1;     // eventfd, readable once Stop() began; in both sets

@@ -2,7 +2,6 @@
 
 #include "datagen/example_graph.h"
 #include "index/index_store.h"
-#include "query/executor.h"
 #include "query/plan.h"
 
 namespace aplus {

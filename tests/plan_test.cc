@@ -5,7 +5,6 @@
 #include "datagen/example_graph.h"
 #include "datagen/power_law_generator.h"
 #include "index/index_store.h"
-#include "query/executor.h"
 #include "query/plan.h"
 
 namespace aplus {

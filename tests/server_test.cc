@@ -324,26 +324,26 @@ TEST_F(ServerTest, SharedPlanCacheHitsAcrossConnectionsAndInvalidates) {
   auto a = Connect();
   auto b = Connect();
   ASSERT_TRUE(a->Prepare(kPointLookup).ok());
-  EXPECT_EQ(server_->plan_cache().misses(), 1u);
-  EXPECT_EQ(server_->plan_cache().hits(), 0u);
+  EXPECT_EQ(db_->plan_cache().misses(), 1u);
+  EXPECT_EQ(db_->plan_cache().hits(), 0u);
   // Second connection, same text: served from the shared plan.
   ASSERT_TRUE(b->Prepare(kPointLookup).ok());
-  EXPECT_EQ(server_->plan_cache().misses(), 1u);
-  EXPECT_EQ(server_->plan_cache().hits(), 1u);
+  EXPECT_EQ(db_->plan_cache().misses(), 1u);
+  EXPECT_EQ(db_->plan_cache().hits(), 1u);
   // Whitespace variants normalize onto the same entry.
   ASSERT_TRUE(b->Prepare("  MATCH (a)-[r1:E]->(b)-[r2:E]->(c)   WHERE a.ID = $src "
                          "RETURN b, c, r2.amt  ")
                   .ok());
-  EXPECT_EQ(server_->plan_cache().hits(), 2u);
+  EXPECT_EQ(db_->plan_cache().hits(), 2u);
 
   // DDL (index rebuild) bumps the store version: the entry is stale and
   // the next prepare re-optimizes.
   db_->BuildPrimaryIndexes();
   ASSERT_TRUE(a->Prepare(kPointLookup).ok());
-  EXPECT_EQ(server_->plan_cache().misses(), 2u);
+  EXPECT_EQ(db_->plan_cache().misses(), 2u);
 
   // Ingest growing the graph past 2x the planned edge count also
-  // invalidates (plan quality heuristic, mirroring Session::Prepare).
+  // invalidates (the plan quality rule, Database::PlanStale).
   const uint64_t to_add = db_->graph().num_edges() + 1;
   Rng rng(5);
   const uint64_t n = db_->graph().num_vertices();
@@ -354,7 +354,7 @@ TEST_F(ServerTest, SharedPlanCacheHitsAcrossConnectionsAndInvalidates) {
     db_->maintainer().OnEdgeInserted(e);
   }
   ASSERT_TRUE(b->Prepare(kPointLookup).ok());
-  EXPECT_EQ(server_->plan_cache().misses(), 3u);
+  EXPECT_EQ(db_->plan_cache().misses(), 3u);
   // And the re-prepared plan still answers correctly on the grown graph.
   auto c = Connect();
   Client::PreparedInfo info = c->Prepare(kPointLookup);
@@ -564,8 +564,8 @@ TEST_F(ServerTest, EightClientSoakWithHighCacheHitRate) {
   }
   for (std::thread& t : threads) t.join();
 
-  const uint64_t hits = server_->plan_cache().hits();
-  const uint64_t misses = server_->plan_cache().misses();
+  const uint64_t hits = db_->plan_cache().hits();
+  const uint64_t misses = db_->plan_cache().misses();
   ASSERT_GT(hits + misses, 0u);
   // 3 texts, 8 clients x 8 rounds of prepares: after the 3 warmup
   // misses everything is a shared-plan hit (>= 90% acceptance bar).
@@ -653,6 +653,36 @@ TEST_F(ServerTest, CancelLandsWhileTheOnlyWorkerExecutes) {
   // The connection and the single worker stay usable.
   Client::Result retry = client->Execute(info.stmt_id, {}, /*deadline_millis=*/60000);
   EXPECT_TRUE(retry.ok()) << retry.error;
+}
+
+TEST_F(ServerTest, CancelReadWithItsExecuteStopsItBeforeItStarts) {
+  // EXECUTE and CANCEL in one send: the worker parses both before the
+  // query starts, so no query is in flight when the CANCEL is read. It
+  // must still cancel this execute (and not the statement's next one).
+  Rebuild(20000);
+  ServerOptions options;
+  options.num_workers = 1;
+  StartServer(options);
+  auto client = Connect();
+  Client::PreparedInfo info = client->Prepare(
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c), (a)-[r3:E]->(c) RETURN COUNT(*)");
+  ASSERT_TRUE(info.ok()) << info.error;
+  std::vector<uint8_t> burst = ExecuteFrame(info.stmt_id, 0, nullptr);
+  const std::vector<uint8_t> cancel = SmallFrame(wire::FrameType::kCancel, nullptr);
+  burst.insert(burst.end(), cancel.begin(), cancel.end());
+  ASSERT_TRUE(client->SendRaw(burst.data(), burst.size()));
+  std::vector<uint8_t> frame;
+  std::string error;
+  do {
+    ASSERT_TRUE(client->ReadFrameRaw(&frame, &error)) << error;
+  } while (static_cast<wire::FrameType>(frame[4]) == wire::FrameType::kRows);
+  ASSERT_EQ(static_cast<wire::FrameType>(frame[4]), wire::FrameType::kError)
+      << "the execute ran to completion despite its CANCEL";
+  EXPECT_EQ(static_cast<wire::WireStatus>(frame[wire::kFrameHeaderBytes]),
+            wire::WireStatus::kCancelled);
+  // The next execute of the statement is unaffected.
+  Client::Result next = client->Execute(info.stmt_id, {}, /*deadline_millis=*/60000);
+  EXPECT_TRUE(next.ok()) << next.error;
 }
 
 TEST_F(ServerTest, PipelinedFramesAnswerInOrder) {

@@ -14,6 +14,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/flat_adj_engine.h"
@@ -256,19 +257,19 @@ TEST_F(ServingApiTest, CountStarIsTheDegenerateAggregate) {
 }
 
 TEST_F(ServingApiTest, GroupByMemoryCapReturnsResourceExhausted) {
-  // APLUS_GROUPBY_MEM_CAP bounds the grouped-aggregate arena: crossing
-  // it aborts the execution cleanly with kResourceExhausted — no rows
-  // delivered, no crash — and the knob is re-read on every Execute.
+  // APLUS_MEM_CAP bounds the grouped-aggregate arena: crossing it aborts
+  // the execution cleanly with kResourceExhausted — no rows delivered, no
+  // crash — and the knob is re-read on every Execute.
   Session session(db_.get());
   const std::string text = "MATCH (a)-[r:E]->(b) RETURN a, COUNT(*)";
-  ::setenv("APLUS_GROUPBY_MEM_CAP", "256", 1);
+  ::setenv("APLUS_MEM_CAP", "256", 1);
   RowCollector rc;
   QueryOutcome out = session.Execute(text, &rc);
-  ::unsetenv("APLUS_GROUPBY_MEM_CAP");
+  ::unsetenv("APLUS_MEM_CAP");
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status, QueryOutcome::Status::kResourceExhausted);
   EXPECT_STREQ(ToString(out.status), "RESOURCE_EXHAUSTED");
-  EXPECT_NE(out.error.find("APLUS_GROUPBY_MEM_CAP"), std::string::npos) << out.error;
+  EXPECT_NE(out.error.find("APLUS_MEM_CAP"), std::string::npos) << out.error;
   EXPECT_EQ(out.rows, 0u);
   EXPECT_TRUE(rc.rows.empty());
   // With the knob unset the same cached plan runs to completion.
@@ -278,7 +279,7 @@ TEST_F(ServingApiTest, GroupByMemoryCapReturnsResourceExhausted) {
   EXPECT_GT(ok.rows, 0u);
   EXPECT_EQ(ok.rows, rc2.rows.size());
   // A generous cap never triggers, serial or parallel.
-  ::setenv("APLUS_GROUPBY_MEM_CAP", "104857600", 1);
+  ::setenv("APLUS_MEM_CAP", "104857600", 1);
   for (int threads : {1, 4}) {
     RowCollector rc3;
     PreparedQuery* prepared = session.Prepare(text);
@@ -287,7 +288,7 @@ TEST_F(ServingApiTest, GroupByMemoryCapReturnsResourceExhausted) {
     ASSERT_TRUE(big.ok()) << big.error;
     EXPECT_EQ(rc3.rows.size(), rc2.rows.size()) << "threads=" << threads;
   }
-  ::unsetenv("APLUS_GROUPBY_MEM_CAP");
+  ::unsetenv("APLUS_MEM_CAP");
 }
 
 TEST_F(ServingApiTest, GroupedAggregateOrderByLimitEndToEnd) {
@@ -461,7 +462,7 @@ TEST_F(ServingApiTest, DdlInvalidatesPreparedQueriesAndCacheReprepares) {
   EXPECT_FALSE(prepared->current());
   QueryOutcome stale = prepared->Execute();
   EXPECT_EQ(stale.status, QueryOutcome::Status::kInvalidated);
-  // The session cache re-prepares transparently on the next Prepare
+  // The plan cache re-prepares transparently on the next Prepare
   // (the allocator may reuse the stale object's address, so assert on
   // behaviour and the miss counter, not pointer identity).
   PreparedQuery* fresh = session.Prepare(kTwoHopText);
@@ -596,6 +597,142 @@ TEST_F(ServingApiTest, SessionCacheIsBounded) {
   }
   EXPECT_LE(session.cache_size(), Session::kMaxCachedQueries);
   EXPECT_GT(session.cache_size(), 0u);
+}
+
+// Rows as sorted int64 renderings: the order-insensitive form both sides
+// of a concurrent-vs-serial comparison reduce to.
+std::vector<std::string> IntRows(const RowCollector& rc) {
+  std::vector<std::string> rows;
+  for (const auto& row : rc.rows) {
+    std::string text;
+    for (const Value& v : row) text += std::to_string(v.AsInt64()) + "|";
+    rows.push_back(std::move(text));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST_F(ServingApiTest, ConcurrentSessionsShareOnePreparePerText) {
+  // Sessions on one Database prepare concurrently: each text is planned
+  // once by the database's cache (the other threads wait for it or clone
+  // it), and every thread's rows match a serial Session's.
+  constexpr int kThreads = 4;
+  const std::vector<std::string> shared = {
+      kTwoHopText,
+      "MATCH (a)-[r:E]->(b) WHERE a.ID = $src RETURN b, r.amt",
+      "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) WHERE a.ID = $src RETURN c, COUNT(*)",
+  };
+  auto own_text = [](int t) {
+    return "MATCH (a)-[r1:E]->(b)-[r2:E]->(c) WHERE a.ID = $src RETURN b, c LIMIT " +
+           std::to_string(1000000 + t);
+  };
+  const std::vector<vertex_id_t> sources = {0, 7, 42, 131};
+  // results[t][text] = rows per source, in `sources` order.
+  std::vector<std::map<std::string, std::vector<std::vector<std::string>>>> results(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Session session(db_.get());
+      std::vector<std::string> texts = shared;
+      texts.push_back(own_text(t));
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < 3; ++round) {
+        for (const std::string& text : texts) {
+          PreparedQuery* q = session.Prepare(text);
+          ASSERT_TRUE(q->ok()) << q->error();
+          std::vector<std::vector<std::string>> rows;
+          for (vertex_id_t src : sources) {
+            ASSERT_TRUE(q->Bind("src", Value::Int64(src))) << q->bind_error();
+            RowCollector rc;
+            QueryOutcome out = q->Execute(&rc);
+            ASSERT_TRUE(out.ok()) << out.error;
+            rows.push_back(IntRows(rc));
+          }
+          results[t][text] = std::move(rows);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // One miss per distinct text; every other database-cache checkout (a
+  // session's first Prepare of a shared text) is a hit.
+  const uint64_t distinct = shared.size() + kThreads;
+  EXPECT_EQ(db_->plan_cache().misses(), distinct);
+  EXPECT_EQ(db_->plan_cache().hits(), kThreads * (shared.size() + 1) - distinct);
+
+  Session serial(db_.get());
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<std::string> texts = shared;
+    texts.push_back(own_text(t));
+    for (const std::string& text : texts) {
+      PreparedQuery* q = serial.Prepare(text);
+      ASSERT_TRUE(q->ok()) << q->error();
+      ASSERT_EQ(results[t][text].size(), sources.size()) << text;
+      for (size_t i = 0; i < sources.size(); ++i) {
+        ASSERT_TRUE(q->Bind("src", Value::Int64(sources[i])));
+        RowCollector rc;
+        ASSERT_TRUE(q->Execute(&rc).ok());
+        EXPECT_EQ(results[t][text][i], IntRows(rc)) << "thread " << t << ": " << text;
+      }
+    }
+  }
+}
+
+TEST_F(ServingApiTest, PooledInstanceCarriesNothingFromItsLastOwner) {
+  const std::string text = "MATCH (a)-[r:E]->(b) RETURN a, COUNT(*)";
+  PreparedQuery* used = nullptr;
+  uint64_t want_rows = 0;
+  {
+    Session a(db_.get());
+    PreparedQuery* q = a.Prepare(text);
+    ASSERT_TRUE(q->ok()) << q->error();
+    QueryOutcome full = q->Execute();
+    ASSERT_TRUE(full.ok()) << full.error;
+    want_rows = full.rows;
+    ASSERT_GT(want_rows, 0u);
+    q->set_deadline_millis(1);
+    q->set_mem_cap_bytes(1);
+    q->Cancel();  // pending: no execute is running
+    PreparedQuery* two_hop = a.Prepare(kTwoHopText);
+    ASSERT_TRUE(two_hop->Bind("src", Value::Int64(7)));
+    used = q;
+  }  // `a` dies: both instances return to the database's pool
+  Session b(db_.get());
+  b.set_default_deadline_millis(60000);
+  PreparedQuery* q = b.Prepare(text);
+  ASSERT_EQ(q, used) << "expected the pooled instance";
+  EXPECT_EQ(q->deadline_millis(), 60000) << "session default stamped on a cache hit";
+  RowCollector rc;
+  QueryOutcome out = q->Execute(&rc);
+  ASSERT_EQ(out.status, QueryOutcome::Status::kOk) << out.error;
+  EXPECT_EQ(out.rows, want_rows);
+  EXPECT_EQ(rc.rows.size(), want_rows);
+  // Bindings do not carry over either.
+  PreparedQuery* two_hop = b.Prepare(kTwoHopText);
+  EXPECT_EQ(two_hop->Execute().status, QueryOutcome::Status::kBindError);
+}
+
+TEST_F(ServingApiTest, PlanCacheIsBoundedAndLeasesOutliveEviction) {
+  // Literal-inlined texts from short-lived sessions: the database's cache
+  // evicts least-recently-used entries instead of growing, and a lease
+  // held across the evictions keeps its instance.
+  Session holder(db_.get());
+  PreparedQuery* held = holder.Prepare(kTwoHopText);
+  ASSERT_TRUE(held->ok()) << held->error();
+  for (size_t i = 0; i < PlanCache::kMaxEntries + 40; ++i) {
+    Session session(db_.get());
+    PreparedQuery* p = session.Prepare("MATCH (a)-[r:E]->(b) WHERE a.ID = " +
+                                       std::to_string(i % 500) + " RETURN COUNT(*)");
+    ASSERT_TRUE(p->ok()) << p->error();
+    EXPECT_LE(db_->plan_cache().size(), PlanCache::kMaxEntries);
+  }
+  EXPECT_GT(db_->plan_cache().size(), 0u);
+  ASSERT_TRUE(held->Bind("src", Value::Int64(7)));
+  QueryOutcome out = held->Execute();
+  ASSERT_TRUE(out.ok()) << out.error;
+  EXPECT_EQ(out.count, OracleTwoHopRows(7).size());
 }
 
 }  // namespace
